@@ -13,15 +13,19 @@ test:
 # verify is the tier-1 gate: everything must pass before a change lands.
 # It builds and vets every package, runs the full test suite under the
 # race detector (which includes the golden-frame comparisons), and
-# smoke-fuzzes the datastream reader and the repaint equivalence oracle.
+# smoke-fuzzes the datastream readers, the repaint equivalence oracle,
+# journal replay, the framed-record codec, the server protocol and the
+# ops codec.
 verify:
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test -race ./...
 	$(GO) test -run=NONE -bench=. -benchtime=1x .
 	$(GO) test -fuzz=FuzzReader -fuzztime=10s ./internal/datastream
+	$(GO) test -fuzz=FuzzStreamReader -fuzztime=10s ./internal/datastream
 	$(GO) test -fuzz=FuzzRepaint -fuzztime=10s .
 	$(GO) test -fuzz=FuzzJournalReplay -fuzztime=10s ./internal/persist
+	$(GO) test -fuzz=FuzzRecords -fuzztime=10s ./internal/persist
 	$(GO) test -fuzz=FuzzServerProtocol -fuzztime=10s ./internal/docserve
 	$(GO) test -fuzz=FuzzOpsCodec -fuzztime=10s ./internal/ops
 	$(GO) run ./cmd/slogate -bench BENCH_text.json -bench BENCH_docserve.json -bench BENCH_stream.json
@@ -30,9 +34,11 @@ verify:
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -fuzz=FuzzReader -fuzztime=$(FUZZTIME) ./internal/datastream
+	$(GO) test -fuzz=FuzzStreamReader -fuzztime=$(FUZZTIME) ./internal/datastream
 	$(GO) test -fuzz=FuzzRoundTrip -fuzztime=$(FUZZTIME) .
 	$(GO) test -fuzz=FuzzRepaint -fuzztime=$(FUZZTIME) .
 	$(GO) test -fuzz=FuzzJournalReplay -fuzztime=$(FUZZTIME) ./internal/persist
+	$(GO) test -fuzz=FuzzRecords -fuzztime=$(FUZZTIME) ./internal/persist
 	$(GO) test -fuzz=FuzzServerProtocol -fuzztime=$(FUZZTIME) ./internal/docserve
 	$(GO) test -fuzz=FuzzOpsCodec -fuzztime=$(FUZZTIME) ./internal/ops
 

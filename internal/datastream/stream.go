@@ -32,14 +32,10 @@ type StreamReader struct {
 // open-without-loading session holding a few windows stays trivial.
 const DefaultStreamChunk = 128 << 10
 
-// NewStreamReader wraps src with the default window size. It determines
-// the stream size with a pair of seeks and leaves the position at 0.
-func NewStreamReader(src io.ReadSeeker) (*StreamReader, error) {
-	return NewStreamReaderSize(src, DefaultStreamChunk)
-}
-
-// NewStreamReaderSize wraps src with an explicit window size (tests use
-// tiny windows to force refills on every boundary).
+// NewStreamReaderSize wraps src with a window of chunk bytes (tests use
+// tiny windows to force refills on every boundary; chunk <= 0 means
+// DefaultStreamChunk). It determines the stream size with a pair of
+// seeks and leaves the position at 0.
 func NewStreamReaderSize(src io.ReadSeeker, chunk int) (*StreamReader, error) {
 	if chunk <= 0 {
 		chunk = DefaultStreamChunk
@@ -59,15 +55,6 @@ func (s *StreamReader) Size() int64 { return s.size }
 
 // Offset returns the current logical read position.
 func (s *StreamReader) Offset() int64 { return s.pos }
-
-// Buffered reports how many bytes at the current position can be read
-// without touching the source (test introspection).
-func (s *StreamReader) Buffered() int {
-	if s.pos < s.off || s.pos >= s.off+int64(len(s.win)) {
-		return 0
-	}
-	return int(s.off + int64(len(s.win)) - s.pos)
-}
 
 // Read fills p from the buffered window, faulting the window forward when
 // the position runs off its end. A read larger than the window bypasses

@@ -56,12 +56,15 @@ type Client struct {
 	live      bool
 	attached  bool
 	// snapAcc assembles an in-progress chunked snapshot (snapr frames).
-	snapAcc *snapAccum
-	draining  bool // Resume is replaying the dead connection's leftovers
+	snapAcc  *snapAccum
+	draining bool // Resume is replaying the dead connection's leftovers
 
 	nextClientSeq uint64
 	inflight      *inflightGroup
 	buffer        []ops.Op
+	// ackedGroup is the clientSeq of the last op group confirmed (by its
+	// ack or by the echo of its records).
+	ackedGroup uint64
 
 	inbox  chan string // reader goroutine -> owner; closed on read error
 	hbStop chan struct{}
@@ -622,8 +625,6 @@ func (c *Client) fatal(err error) error {
 // handleFrame dispatches one server frame on the owner goroutine.
 func (c *Client) handleFrame(frame string) error {
 	switch verbOf(frame) {
-	case "snap":
-		return c.handleSnap(frame)
 	case "snapr":
 		return c.handleSnapRange(frame)
 	case "op":
@@ -676,24 +677,6 @@ func decodeSnapshot(b []byte, reg *class.Registry) (*text.Data, error) {
 	return doc, nil
 }
 
-func (c *Client) handleSnap(frame string) error {
-	parts := strings.SplitN(frame, " ", 4)
-	if len(parts) < 3 || parts[0] != "snap" {
-		return c.fatal(fmt.Errorf("%w: snap", errBadFrame))
-	}
-	epoch, err1 := strconv.ParseUint(parts[1], 10, 64)
-	seq, err2 := strconv.ParseUint(parts[2], 10, 64)
-	if err1 != nil || err2 != nil {
-		return c.fatal(fmt.Errorf("%w: snap header", errBadFrame))
-	}
-	body := ""
-	if len(parts) == 4 {
-		body = parts[3]
-	}
-	c.snapAcc = nil // a whole snapshot supersedes any partial range run
-	return c.applySnapshot(epoch, seq, []byte(body))
-}
-
 // snapAccum collects the snapr range frames of one chunked snapshot until
 // the announced total arrives.
 type snapAccum struct {
@@ -744,8 +727,8 @@ func (c *Client) handleSnapRange(frame string) error {
 	return c.applySnapshot(acc.epoch, acc.seq, acc.buf)
 }
 
-// applySnapshot installs a complete snapshot body — from one snap frame
-// or an assembled snapr run — as the confirmed state at (epoch, seq).
+// applySnapshot installs a complete snapshot body — an assembled snapr
+// run — as the confirmed state at (epoch, seq).
 func (c *Client) applySnapshot(epoch, seq uint64, body []byte) error {
 	snapDoc, err := decodeSnapshot(body, c.opts.Registry)
 	if err != nil {
@@ -824,9 +807,7 @@ func (c *Client) handleCommitted(m committedMsg) error {
 		c.confirmed = m.seq
 		c.inflight.recs = c.inflight.recs[1:]
 		if len(c.inflight.recs) == 0 {
-			c.inflight = nil
-			c.maybePromote()
-			c.maybeDiscardOffline()
+			c.groupConfirmed()
 		}
 		return nil
 	}
@@ -864,6 +845,15 @@ func (c *Client) handleCommitted(m committedMsg) error {
 
 func (c *Client) handleAck(clientSeq uint64, n int, hi uint64) error {
 	if c.inflight == nil || clientSeq != c.inflight.clientSeq {
+		// After a resume a group can be confirmed twice: the old session
+		// commits it late, the host fans that commit out to the new session
+		// (the echo is the implicit ack, and the next group is promoted),
+		// then the host's dedup answers the re-sent copy. An ack for a
+		// group already confirmed, ending at or below the confirmed seq,
+		// carries nothing new; any other stray ack is a protocol error.
+		if clientSeq <= c.ackedGroup && hi <= c.confirmed {
+			return nil
+		}
 		return c.fatal(fmt.Errorf("docserve: stray ack for group %d", clientSeq))
 	}
 	// A group that rebased to nothing leaves no trace in the op stream, so
@@ -873,9 +863,7 @@ func (c *Client) handleAck(clientSeq uint64, n int, hi uint64) error {
 	// must agree it was nothing (it folded the same bridge); then there is
 	// simply nothing to apply.
 	if n == 0 && len(c.inflight.recs) == 0 && hi <= c.confirmed {
-		c.inflight = nil
-		c.maybePromote()
-		c.maybeDiscardOffline()
+		c.groupConfirmed()
 		return nil
 	}
 	// Every bridge op reached us before the ack (the stream is ordered), so
@@ -885,10 +873,17 @@ func (c *Client) handleAck(clientSeq uint64, n int, hi uint64) error {
 			n, hi, len(c.inflight.recs), c.confirmed))
 	}
 	c.confirmed = hi
+	c.groupConfirmed()
+	return nil
+}
+
+// groupConfirmed retires the in-flight group, every record of it now
+// confirmed, and promotes the next one.
+func (c *Client) groupConfirmed() {
+	c.ackedGroup = c.inflight.clientSeq
 	c.inflight = nil
 	c.maybePromote()
 	c.maybeDiscardOffline()
-	return nil
 }
 
 func (c *Client) handleLive(frame string) error {

@@ -9,10 +9,23 @@ import (
 	"time"
 )
 
-// scriptServer runs fn against the server end of a pipe and reports its
-// error on the returned channel.
-func scriptServer(sEnd net.Conn) (*bufio.Reader, *bufio.Writer) {
-	return bufio.NewReader(sEnd), bufio.NewWriter(sEnd)
+// scriptServer wraps the server end of a pipe for a hand-written server
+// script: a frame reader and a frame writer.
+func scriptServer(sEnd net.Conn) (*frameReader, *bufio.Writer) {
+	return &frameReader{br: bufio.NewReader(sEnd)}, bufio.NewWriter(sEnd)
+}
+
+// writeSnap sends doc as the host does: a run of snapr range frames (here
+// a run of one).
+func writeSnap(bw *bufio.Writer, epoch, seq uint64, doc []byte) error {
+	frames := buildSnapFrames(epoch, seq, doc, maxServeBytes)
+	defer releaseFrames(frames)
+	for _, fb := range frames {
+		if _, err := bw.Write(fb.b); err != nil {
+			return err
+		}
+	}
+	return bw.Flush()
 }
 
 // TestClientRebaseDeterministic drives a client against a hand-written
@@ -28,8 +41,8 @@ func TestClientRebaseDeterministic(t *testing.T) {
 	go func() {
 		defer sEnd.Close() // script done; pipe writes are synchronous, all frames delivered
 		errc <- func() error {
-			br, bw := scriptServer(sEnd)
-			f, err := readFrame(br)
+			fr, bw := scriptServer(sEnd)
+			f, err := fr.next()
 			if err != nil {
 				return err
 			}
@@ -40,13 +53,13 @@ func TestClientRebaseDeterministic(t *testing.T) {
 			if hello.doc != "doc" || hello.clientID != "me" || hello.resume {
 				return fmt.Errorf("unexpected hello %+v", hello)
 			}
-			if err := writeFrame(bw, encodeSnap(5, 0, snap)); err != nil {
+			if err := writeSnap(bw, 5, 0, snap); err != nil {
 				return err
 			}
 			if err := writeFrame(bw, encodeLive(0)); err != nil {
 				return err
 			}
-			f, err = readFrame(br)
+			f, err = fr.next()
 			if err != nil {
 				return err
 			}
@@ -104,13 +117,13 @@ func TestClientAckMismatchIsFatal(t *testing.T) {
 	cEnd, sEnd := net.Pipe()
 	go func() {
 		defer sEnd.Close()
-		br, bw := scriptServer(sEnd)
-		if _, err := readFrame(br); err != nil {
+		fr, bw := scriptServer(sEnd)
+		if _, err := fr.next(); err != nil {
 			return
 		}
-		_ = writeFrame(bw, encodeSnap(1, 0, snap))
+		_ = writeSnap(bw, 1, 0, snap)
 		_ = writeFrame(bw, encodeLive(0))
-		if _, err := readFrame(br); err != nil {
+		if _, err := fr.next(); err != nil {
 			return
 		}
 		_ = writeFrame(bw, encodeAck(1, 5, 9)) // nonsense
@@ -131,6 +144,108 @@ func TestClientAckMismatchIsFatal(t *testing.T) {
 	}
 }
 
+// TestClientIgnoresDuplicateAckAfterEcho replays the resume race
+// deterministically. The old session commits group 1 after the client
+// resumed; the host fans the commit out to the new session, where the
+// echo confirms group 1 and promotes group 2; then the host's dedup
+// answers the re-sent group 1 with "ok 1 1 1". That ack repeats what the
+// echo already confirmed, so it must not latch the client.
+func TestClientIgnoresDuplicateAckAfterEcho(t *testing.T) {
+	reg := testReg(t)
+	snap := encodeDoc(t, newDoc(t, "hello"))
+
+	cEnd, sEnd := net.Pipe()
+	defer sEnd.Close() // open until the end: a hang-up would latch the client
+	errc := make(chan error, 1)
+	go func() {
+		fr, bw := scriptServer(sEnd)
+		errc <- func() error {
+			if _, err := fr.next(); err != nil {
+				return err
+			}
+			if err := writeSnap(bw, 1, 0, snap); err != nil {
+				return err
+			}
+			if err := writeFrame(bw, encodeLive(0)); err != nil {
+				return err
+			}
+			if _, err := fr.next(); err != nil { // group 1
+				return err
+			}
+			if err := writeFrame(bw, encodeCommitted(1, "me", 1, "i 0 abc")); err != nil {
+				return err
+			}
+			if err := writeFrame(bw, encodeAck(1, 1, 1)); err != nil {
+				return err
+			}
+			f, err := fr.next()
+			if err != nil {
+				return err
+			}
+			g, err := parseOpGroup(f)
+			if err != nil || g.clientSeq != 2 || g.baseSeq != 1 || len(g.payloads) != 1 || g.payloads[0] != "i 3 x" {
+				return fmt.Errorf("group 2: %+v, %v", g, err)
+			}
+			return writeFrame(bw, encodeAck(2, 1, 2))
+		}()
+		for { // swallow the rest, the client's closing bye included
+			if _, err := fr.next(); err != nil {
+				return
+			}
+		}
+	}()
+
+	c, err := Connect(cEnd, "doc", ClientOptions{ClientID: "me", Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	mustInsert(t, c.Doc(), 0, "abc") // group 1, in flight
+	mustInsert(t, c.Doc(), 3, "x")   // buffered behind it
+	if err := c.WaitSeq(2, 5*time.Second); err != nil {
+		t.Fatalf("client: %v (script: %v)", err, <-errc)
+	}
+	if err := <-errc; err != nil {
+		t.Fatalf("script: %v", err)
+	}
+	if c.Err() != nil || c.PendingCount() != 0 || c.Doc().String() != "abcxhello" {
+		t.Fatalf("err %v pending %d doc %q", c.Err(), c.PendingCount(), c.Doc().String())
+	}
+}
+
+// TestClientStrayAckIsFatal: an ack for a group the client never
+// confirmed is still a protocol error.
+func TestClientStrayAckIsFatal(t *testing.T) {
+	reg := testReg(t)
+	snap := encodeDoc(t, newDoc(t, "hello"))
+
+	cEnd, sEnd := net.Pipe()
+	go func() {
+		defer sEnd.Close()
+		fr, bw := scriptServer(sEnd)
+		if _, err := fr.next(); err != nil {
+			return
+		}
+		_ = writeSnap(bw, 1, 0, snap)
+		_ = writeFrame(bw, encodeLive(0))
+		if _, err := fr.next(); err != nil {
+			return
+		}
+		_ = writeFrame(bw, encodeAck(2, 1, 1)) // group 2 was never sent
+	}()
+
+	c, err := Connect(cEnd, "doc", ClientOptions{ClientID: "me", Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	mustInsert(t, c.Doc(), 0, "x")
+	err = c.WaitSeq(1, 2*time.Second)
+	if err == nil || !strings.Contains(err.Error(), "stray ack") {
+		t.Fatalf("want stray ack error, got %v", err)
+	}
+}
+
 // TestClientSeqGapIsFatal: a committed op that skips a seq means lost
 // state; the client must refuse rather than apply it at the wrong place.
 func TestClientSeqGapIsFatal(t *testing.T) {
@@ -140,11 +255,11 @@ func TestClientSeqGapIsFatal(t *testing.T) {
 	cEnd, sEnd := net.Pipe()
 	go func() {
 		defer sEnd.Close()
-		br, bw := scriptServer(sEnd)
-		if _, err := readFrame(br); err != nil {
+		fr, bw := scriptServer(sEnd)
+		if _, err := fr.next(); err != nil {
 			return
 		}
-		_ = writeFrame(bw, encodeSnap(1, 0, snap))
+		_ = writeSnap(bw, 1, 0, snap)
 		_ = writeFrame(bw, encodeLive(0))
 		_ = writeFrame(bw, encodeCommitted(7, "other", 1, "i 0 ZZ"))
 	}()
@@ -168,8 +283,8 @@ func TestConnectTimesOutOnMuteServer(t *testing.T) {
 	cEnd, sEnd := net.Pipe()
 	defer sEnd.Close()
 	go func() {
-		br := bufio.NewReader(sEnd)
-		_, _ = readFrame(br) // swallow the hello, then go mute
+		fr, _ := scriptServer(sEnd)
+		_, _ = fr.next() // swallow the hello, then go mute
 	}()
 	start := time.Now()
 	_, err := Connect(cEnd, "doc", ClientOptions{

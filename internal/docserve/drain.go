@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"strconv"
 	"strings"
 	"time"
 
@@ -120,11 +119,15 @@ func (h *Host) Drain(ctx context.Context) error {
 // the document file.
 func HostStatePath(path string) string { return path + ".host" }
 
-// hostStateMagic heads the sidecar; an unknown magic is ignored, never
-// "partially adopted".
-const hostStateMagic = "%atkhost1"
-
-// hostState is the decoded sidecar.
+// hostState is the decoded sidecar: a framed-record file
+// (persist.HostStateMagic) of typed records, each with its own CRC —
+//
+//	crc <hex CRC of the saved document's encoding>
+//	epoch <n>
+//	seq <n>
+//	client <id> <seeded 0|1> <lastSeq> [<clientSeq>:<n>:<hi> ...]
+//
+// — one client record per known client.
 type hostState struct {
 	crc     uint32
 	epoch   uint64
@@ -134,87 +137,57 @@ type hostState struct {
 
 // encodeHostStateLocked renders the sidecar bytes. Host lock held.
 func (h *Host) encodeHostStateLocked(crc uint32) []byte {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s\ncrc %08x\nepoch %d\nseq %d\n", hostStateMagic, crc, h.epoch, h.seq)
+	recs := []string{fmt.Sprintf("crc %08x", crc), fmt.Sprintf("epoch %d", h.epoch), fmt.Sprintf("seq %d", h.seq)}
 	for id, cs := range h.clients {
 		seeded := 0
 		if cs.seeded {
 			seeded = 1
 		}
+		var b strings.Builder
 		fmt.Fprintf(&b, "client %s %d %d", id, seeded, cs.lastSeq)
 		for k, r := range cs.acks {
 			fmt.Fprintf(&b, " %d:%d:%d", k, r.n, r.hi)
 		}
-		b.WriteByte('\n')
+		recs = append(recs, b.String())
 	}
-	return []byte(b.String())
+	return persist.EncodeRecords(persist.HostStateMagic, recs)
 }
 
-// decodeHostState parses sidecar bytes; any malformation fails the whole
-// decode (a half-adopted dedup state would be worse than none).
-func decodeHostState(s string) (*hostState, error) {
-	lines := strings.Split(strings.TrimRight(s, "\n"), "\n")
-	if len(lines) < 4 || lines[0] != hostStateMagic {
-		return nil, fmt.Errorf("docserve: not a host-state sidecar")
+// decodeHostState parses sidecar bytes; any damage or malformation fails
+// the whole decode (a half-adopted dedup state would be worse than none).
+func decodeHostState(b []byte) (*hostState, error) {
+	recs, err := persist.ReadRecords(b, persist.HostStateMagic)
+	if err != nil {
+		return nil, err
 	}
 	st := &hostState{clients: map[string]*clientState{}}
-	if _, err := fmt.Sscanf(lines[1], "crc %08x", &st.crc); err != nil {
-		return nil, fmt.Errorf("docserve: host-state crc line: %w", err)
+	if len(recs) < 3 || !persist.ScanRecord(recs[0], "crc %08x", &st.crc) ||
+		!persist.ScanRecord(recs[1], "epoch %d", &st.epoch) || !persist.ScanRecord(recs[2], "seq %d", &st.seq) {
+		return nil, fmt.Errorf("docserve: host-state header records")
 	}
-	var err1, err2 error
-	st.epoch, err1 = parseStateField(lines[2], "epoch")
-	st.seq, err2 = parseStateField(lines[3], "seq")
-	if err1 != nil {
-		return nil, err1
-	}
-	if err2 != nil {
-		return nil, err2
-	}
-	for _, line := range lines[4:] {
-		f := strings.Fields(line)
-		if len(f) < 4 || f[0] != "client" || !nameOK(f[1]) {
-			return nil, fmt.Errorf("docserve: host-state client line %q", line)
-		}
+	for _, rec := range recs[3:] {
+		// Single spaces only: an empty field (doubled, leading or trailing
+		// space) fails its ScanRecord, as does a tab inside a field.
+		f := strings.Split(rec, " ")
+		var id string
+		seeded := 0
 		cs := &clientState{acks: map[uint64]ackRange{}}
-		switch f[2] {
-		case "0":
-		case "1":
-			cs.seeded = true
-		default:
-			return nil, fmt.Errorf("docserve: host-state seeded flag %q", f[2])
+		if len(f) < 4 || !persist.ScanRecord(strings.Join(f[:4], " "), "client %s %d %d", &id, &seeded, &cs.lastSeq) ||
+			!nameOK(id) || seeded < 0 || seeded > 1 {
+			return nil, fmt.Errorf("docserve: host-state client record %q", rec)
 		}
-		var err error
-		if cs.lastSeq, err = strconv.ParseUint(f[3], 10, 64); err != nil {
-			return nil, fmt.Errorf("docserve: host-state lastSeq: %w", err)
-		}
+		cs.seeded = seeded == 1
 		for _, a := range f[4:] {
-			parts := strings.Split(a, ":")
-			if len(parts) != 3 {
-				return nil, fmt.Errorf("docserve: host-state ack %q", a)
-			}
-			k, e1 := strconv.ParseUint(parts[0], 10, 64)
-			n, e2 := strconv.Atoi(parts[1])
-			hi, e3 := strconv.ParseUint(parts[2], 10, 64)
-			if e1 != nil || e2 != nil || e3 != nil || n < 0 {
+			var k, hi uint64
+			var n int
+			if !persist.ScanRecord(a, "%d:%d:%d", &k, &n, &hi) || n < 0 {
 				return nil, fmt.Errorf("docserve: host-state ack %q", a)
 			}
 			cs.acks[k] = ackRange{n: n, hi: hi}
 		}
-		st.clients[f[1]] = cs
+		st.clients[id] = cs
 	}
 	return st, nil
-}
-
-func parseStateField(line, name string) (uint64, error) {
-	rest, ok := strings.CutPrefix(line, name+" ")
-	if !ok {
-		return 0, fmt.Errorf("docserve: host-state %s line %q", name, line)
-	}
-	v, err := strconv.ParseUint(rest, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("docserve: host-state %s: %w", name, err)
-	}
-	return v, nil
 }
 
 // adoptState resumes a drained predecessor's identity, called by
@@ -235,7 +208,7 @@ func (h *Host) adoptState(fsys persist.FS, path string) {
 	if h.df == nil || h.df.Replayed != 0 {
 		return // committed ops landed after the drain's save; state is stale
 	}
-	st, err := decodeHostState(string(b))
+	st, err := decodeHostState(b)
 	if err != nil {
 		return
 	}

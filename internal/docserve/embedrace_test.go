@@ -58,14 +58,15 @@ func TestTableCollabOrphanedByDelete(t *testing.T) {
 // so both tables must exist on every replica and both cell edits must
 // land — this is exactly what concurrent first-writers in loadgen do.
 func TestTableCollabEmbedRace(t *testing.T) {
-	reg := componentReg(t)
+	// One registry per replica: a class.Registry is not safe for
+	// concurrent use, and the host applies ops on its session goroutines.
 	hostDoc := newDoc(t, "")
-	hostDoc.SetRegistry(reg)
+	hostDoc.SetRegistry(componentReg(t))
 	h := NewHost("d", hostDoc, HostOptions{})
 	srv := NewServer(HostOptions{})
 	srv.AddHost(h)
-	a := pipeClient(t, srv, "d", "alice", reg)
-	b := pipeClient(t, srv, "d", "bob", reg)
+	a := pipeClient(t, srv, "d", "alice", componentReg(t))
+	b := pipeClient(t, srv, "d", "bob", componentReg(t))
 
 	ta := table.New(2, 2)
 	tb := table.New(3, 3)

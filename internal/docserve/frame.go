@@ -109,29 +109,16 @@ func (h *Host) appendAckLocked(fb *frameBuf, clientSeq uint64, n int, hi uint64)
 	h.doneScratch(sc, fb)
 }
 
-// buildSnapFrames renders a document snapshot as wire frames: one classic
-// "snap" frame when the encoding fits the per-frame bound, else a run of
-// "snapr" range frames each carrying at most perFrame document bytes.
-// Unlike the Locked encoders above it uses only local scratch — snapshot
-// framing runs in attach's unlocked window, where escaping a 100 MB
-// document must not stall commits. Each returned frame holds one
-// reference owned by the caller.
+// buildSnapFrames renders a document snapshot as a run of "snapr" range
+// frames, each carrying at most perFrame document bytes (a document that
+// fits one frame is a run of one). Unlike the Locked encoders above it
+// uses only local scratch — snapshot framing runs in attach's unlocked
+// window, where escaping a 100 MB document must not stall commits. Each
+// returned frame holds one reference owned by the caller.
 func buildSnapFrames(epoch, seq uint64, doc []byte, perFrame int) []*frameBuf {
-	if len(doc) <= perFrame {
-		fb := getFrame()
-		sc := make([]byte, 0, len(doc)+32)
-		sc = append(sc, "snap "...)
-		sc = strconv.AppendUint(sc, epoch, 10)
-		sc = append(sc, ' ')
-		sc = strconv.AppendUint(sc, seq, 10)
-		sc = append(sc, ' ')
-		sc = append(sc, doc...)
-		fb.b = datastream.AppendEscapedBytes(fb.b, sc)
-		return []*frameBuf{fb}
-	}
 	frames := make([]*frameBuf, 0, (len(doc)+perFrame-1)/perFrame)
-	scratch := make([]byte, 0, perFrame+64)
-	for off := 0; off < len(doc); off += perFrame {
+	scratch := make([]byte, 0, min(len(doc), perFrame)+64)
+	for off := 0; off == 0 || off < len(doc); off += perFrame {
 		end := min(off+perFrame, len(doc))
 		fb := getFrame()
 		sc := scratch[:0]
@@ -156,6 +143,16 @@ func buildSnapFrames(epoch, seq uint64, doc []byte, perFrame int) []*frameBuf {
 func releaseFrames(frames []*frameBuf) {
 	for _, fb := range frames {
 		fb.release()
+	}
+}
+
+// appendHistSinceLocked appends every history op after since as a
+// committed frame line; the caller has checked the window reaches back.
+func (h *Host) appendHistSinceLocked(fb *frameBuf, since uint64) {
+	for _, op := range h.hist {
+		if op.seq > since {
+			h.appendCommittedLocked(fb, op.seq, op.clientID, op.clientSeq, op.wire)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package docserve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"net"
@@ -394,63 +395,95 @@ func TestDrainRestartAdoptsState(t *testing.T) {
 }
 
 // TestAdoptStateRejectsTamper: the sidecar's CRC binds it to one exact
-// saved document; any mismatch means a fresh epoch, not a half-adopted
-// dedup state.
+// saved document, and each of its records carries its own CRC; either
+// mismatch means a fresh epoch, not a half-adopted dedup state.
 func TestAdoptStateRejectsTamper(t *testing.T) {
-	fs := persist.NewMemFS()
-	reg := testReg(t)
-	const path = "tamper.d"
-	h1, err := OpenHostFile(fs, path, reg, HostOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv1 := NewServer(HostOptions{})
-	srv1.AddHost(h1)
-	c := pipeClient(t, srv1, path, "w", reg)
-	mustInsert(t, c.Doc(), 0, "content\n")
-	if err := c.Sync(5 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := srv1.Shutdown(ctx); err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		name   string
+		mangle func(t *testing.T, b []byte) []byte
+	}{
+		// The records are well-formed, but the document CRC no longer
+		// describes the saved file: only adoptState's comparison of it
+		// against the saved document can reject this sidecar.
+		{"document crc", func(t *testing.T, b []byte) []byte {
+			recs, err := persist.ReadRecords(b, persist.HostStateMagic)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var crc uint32
+			if !persist.ScanRecord(recs[0], "crc %08x", &crc) {
+				t.Fatalf("crc record %q", recs[0])
+			}
+			recs[0] = fmt.Sprintf("crc %08x", crc^1)
+			out := persist.EncodeRecords(persist.HostStateMagic, recs)
+			if _, err := decodeHostState(out); err != nil {
+				t.Fatalf("tampered sidecar no longer decodes: %v", err)
+			}
+			return out
+		}},
+		// A byte of the epoch record changes under its record CRC.
+		{"record crc", func(t *testing.T, b []byte) []byte {
+			return []byte(strings.Replace(string(b), " epoch ", " epoch 9", 1))
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fs := persist.NewMemFS()
+			reg := testReg(t)
+			const path = "tamper.d"
+			h1, err := OpenHostFile(fs, path, reg, HostOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv1 := NewServer(HostOptions{})
+			srv1.AddHost(h1)
+			c := pipeClient(t, srv1, path, "w", reg)
+			mustInsert(t, c.Doc(), 0, "content\n")
+			if err := c.Sync(5 * time.Second); err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			if err := srv1.Shutdown(ctx); err != nil {
+				t.Fatal(err)
+			}
 
-	// Corrupt the CRC line: the sidecar no longer describes the saved file.
-	sp := HostStatePath(path)
-	b, err := persist.ReadFile(fs, sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tampered := strings.Replace(string(b), "crc ", "crc 0", 1)
-	if tampered == string(b) {
-		t.Fatal("tamper had no effect")
-	}
-	if err := persist.AtomicWrite(fs, sp, func(w io.Writer) error {
-		_, werr := w.Write([]byte(tampered))
-		return werr
-	}); err != nil {
-		t.Fatal(err)
-	}
+			sp := HostStatePath(path)
+			b, err := persist.ReadFile(fs, sp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tampered := tc.mangle(t, b)
+			if string(tampered) == string(b) {
+				t.Fatal("tamper had no effect")
+			}
+			if err := persist.AtomicWrite(fs, sp, func(w io.Writer) error {
+				_, werr := w.Write(tampered)
+				return werr
+			}); err != nil {
+				t.Fatal(err)
+			}
 
-	h2, err := OpenHostFile(fs, path, reg, HostOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if persist.Exists(fs, sp) {
-		t.Fatal("rejected sidecar not removed")
-	}
-	if h2.epoch == h1.epoch {
-		t.Fatal("tampered sidecar adopted: epoch carried over")
-	}
-	if h2.seq != 0 {
-		t.Fatalf("tampered sidecar adopted: seq %d", h2.seq)
+			h2, err := OpenHostFile(fs, path, reg, HostOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if persist.Exists(fs, sp) {
+				t.Fatal("rejected sidecar not removed")
+			}
+			if h2.epoch == h1.epoch {
+				t.Fatal("tampered sidecar adopted: epoch carried over")
+			}
+			if h2.seq != 0 {
+				t.Fatalf("tampered sidecar adopted: seq %d", h2.seq)
+			}
+		})
 	}
 }
 
 // TestHostStateSidecarRoundTrip pins the sidecar grammar: encode and
-// decode are inverses, and malformed sidecars fail whole.
+// decode are inverses, and malformed sidecars fail whole — an old
+// %atkhost1 file, a foreign magic, and records whose CRCs are valid but
+// whose content is not.
 func TestHostStateSidecarRoundTrip(t *testing.T) {
 	h := NewHost("rt.d", newDoc(t, ""), HostOptions{})
 	h.epoch = 77
@@ -462,7 +495,7 @@ func TestHostStateSidecarRoundTrip(t *testing.T) {
 	}
 	h.clients["bob"] = &clientState{acks: map[uint64]ackRange{}}
 	enc := h.encodeHostStateLocked(0xdeadbeef)
-	st, err := decodeHostState(string(enc))
+	st, err := decodeHostState(enc)
 	if err != nil {
 		t.Fatalf("decode: %v\n%s", err, enc)
 	}
@@ -479,18 +512,33 @@ func TestHostStateSidecarRoundTrip(t *testing.T) {
 		t.Fatalf("decoded bob %+v", b)
 	}
 
-	for _, bad := range []string{
-		"",
-		"%atkother\ncrc 00000001\nepoch 1\nseq 1\n",
-		"%atkhost1\ncrc nope\nepoch 1\nseq 1\n",
-		"%atkhost1\ncrc 00000001\nepoch x\nseq 1\n",
-		"%atkhost1\ncrc 00000001\nepoch 1\nseq 1\nclient b@d 1 2\n",
-		"%atkhost1\ncrc 00000001\nepoch 1\nseq 1\nclient a 7 2\n",
-		"%atkhost1\ncrc 00000001\nepoch 1\nseq 1\nclient a 1 2 3:4\n",
+	framed := func(recs ...string) []byte { return persist.EncodeRecords(persist.HostStateMagic, recs) }
+	for _, bad := range [][]byte{
+		nil,
+		[]byte("%atkhost1\ncrc 00000001\nepoch 1\nseq 1\n"),
+		persist.EncodeRecords("%atkother", []string{"crc 00000001", "epoch 1", "seq 1"}),
+		framed("crc 00000001", "epoch 1"),
+		framed("crc nope", "epoch 1", "seq 1"),
+		framed("crc 00000001", "epoch x", "seq 1"),
+		framed("crc 00000001", "epoch 1", "seq -1"),
+		framed("crc 00000001", "seq 1", "epoch 1"),
+		framed("crc 00000001", "epoch 1", "seq 1", "client b@d 1 2"),
+		framed("crc 00000001", "epoch 1", "seq 1", "client a 7 2"),
+		framed("crc 00000001", "epoch 1", "seq 1", "client a 1 2 3:4"),
+		framed("crc 00000001", "epoch 1", "seq 1", "client a 1 2 3:-1:4"),
+		framed("crc 00000001", "epoch 1", "seq 1", "client  a 1 2"),
+		framed("crc 00000001", "epoch 1", "seq 1", "client a 1 2 "),
+		framed("crc 00000001", "epoch 1", "seq 1", "client a 1 2  3:4:5"),
+		framed("crc 00000001", "epoch 1", "seq 1", "client a\t1 2"),
+		framed("crc 00000001", "epoch 1", "seq 1", "client a 1 2\t3:4:5"),
 	} {
 		if _, err := decodeHostState(bad); err == nil {
 			t.Fatalf("malformed sidecar accepted:\n%s", bad)
 		}
+	}
+	// Each record carries its own CRC: one changed byte rejects the file.
+	if _, err := decodeHostState([]byte(strings.Replace(string(enc), "seq 1234", "seq 1235", 1))); err == nil {
+		t.Fatal("sidecar with a tampered record accepted")
 	}
 }
 

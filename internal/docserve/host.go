@@ -54,12 +54,11 @@ type HostOptions struct {
 	// limit): past the bound, the longest-idle disconnected identities
 	// are evicted early. Default 4 * MaxSessions.
 	MaxClients int
-	// MaxSnapshotBytes bounds how many document bytes one snapshot frame
-	// carries. A document whose encoding fits is served as a single
-	// classic "snap" frame; a bigger one streams as a run of "snapr"
-	// range frames, each at most this large — so this is a framing knob,
-	// not a document-size ceiling. Defaults to (and is clamped to) the
-	// protocol frame limit less header room.
+	// MaxSnapshotBytes bounds how many document bytes one "snapr"
+	// snapshot range frame carries: a document streams as a run of range
+	// frames, each at most this large (one frame when the encoding fits) —
+	// so this is a framing knob, not a document-size ceiling. Defaults to
+	// (and is clamped to) the protocol frame limit less header room.
 	MaxSnapshotBytes int
 	// MaxDocBytes, when positive, bounds the served document's encoded
 	// size outright: a commit that would push the encoding past it is
@@ -104,7 +103,7 @@ func (o HostOptions) withDefaults() HostOptions {
 }
 
 // maxServeBytes is the hard ceiling on one snapshot frame's document
-// bytes: the snap/snapr frame must decode within MaxFrameBytes on the
+// bytes: the snapr frame must decode within MaxFrameBytes on the
 // client, header included.
 const maxServeBytes = MaxFrameBytes - 64
 
@@ -206,9 +205,9 @@ type Host struct {
 	exactOK   bool
 	exactSeq  uint64
 	exactSize int
-	// snapFrames caches the encoded snapshot frames (one snap frame, or a
-	// run of snapr range frames) for the state at snapSeq, so a burst of
-	// joins costs one document encode, not one per session.
+	// snapFrames caches the encoded snapshot frames (a run of snapr range
+	// frames) for the state at snapSeq, so a burst of joins costs one
+	// document encode, not one per session.
 	snapFrames []*frameBuf
 	snapSeq    uint64
 	// encScratch is the reusable logical-line build buffer (see frame.go).
@@ -323,16 +322,6 @@ func (h *Host) SyncNow() error {
 		return nil
 	}
 	return h.df.Sync()
-}
-
-// Checkpoint atomically saves the document and rotates the journal.
-func (h *Host) Checkpoint() error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.df == nil {
-		return nil
-	}
-	return h.df.Save()
 }
 
 // Close disconnects every session and, for a file-backed host, saves the
@@ -565,7 +554,7 @@ func btoi(b bool) int {
 }
 
 // flushFanLocked enqueues the group's shared wire buffer to every
-// session except the originator and drops the
+// session except the originator (and any still attaching) and drops the
 // creator's reference. nops is how many committed ops the buffer carries
 // (for the Broadcasts counter, which predates coalescing and counts
 // op-deliveries, not frames).
@@ -575,7 +564,7 @@ func (h *Host) flushFanLocked(origin *session, fan *frameBuf, nops int) {
 	}
 	now := time.Now()
 	for other := range h.sessions {
-		if other == origin {
+		if other == origin || other.attaching {
 			continue
 		}
 		h.enqueueDataLocked(other, fan, now)
@@ -683,7 +672,8 @@ type Stats struct {
 	ProtocolErrors    uint64
 	SnapResyncs       uint64
 	// SnapChunks counts snapr range frames staged for chunked snapshot
-	// delivery (zero while every served document fits one snap frame).
+	// delivery, runs of more than one frame only (zero while every served
+	// document fits one frame).
 	SnapChunks    uint64
 	OpResyncs     uint64
 	JournalErrors uint64

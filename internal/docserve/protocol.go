@@ -27,7 +27,6 @@ import (
 //
 // Server -> client:
 //
-//	snap <epoch> <seq> <document bytes>            full-document resync
 //	snapr <epoch> <seq> <total> <offset> <chunk>   one snapshot range frame:
 //	                                               chunk is bytes
 //	                                               [offset, offset+len) of a
@@ -35,6 +34,8 @@ import (
 //	                                               arrive in order, gapless,
 //	                                               and the snapshot applies
 //	                                               when offset+len == total
+//	                                               (a document that fits one
+//	                                               frame is a run of one)
 //	op <seq> <clientID> <clientSeq> <payload>      one committed edit
 //	ok <clientSeq> <n> <hi>                        ack: group committed as
 //	                                               n records ending at hi
@@ -92,60 +93,10 @@ func writeFrame(w *bufio.Writer, line string) error {
 	return w.Flush()
 }
 
-// readFrame reads one logical line from r, joining continuation-wrapped
-// physical lines and undoing the escape scheme.
-func readFrame(r *bufio.Reader) (string, error) {
-	var b strings.Builder
-	for {
-		line, err := readPhysicalLine(r)
-		if err != nil {
-			return "", err
-		}
-		cont, derr := datastream.DecodeLine(&b, line)
-		if derr != nil {
-			return "", fmt.Errorf("%w: %v", errBadFrame, derr)
-		}
-		if b.Len() > MaxFrameBytes {
-			return "", errFrameTooLong
-		}
-		if !cont {
-			return b.String(), nil
-		}
-	}
-}
-
-// readPhysicalLine reads one newline-terminated line, accumulating at most
-// MaxPhysicalLine bytes. A line that keeps going past the cap aborts with
-// errFrameTooLong *before* being buffered — a peer streaming bytes with no
-// newline (pre-hello, unauthenticated) must cost bounded memory, which a
-// whole-line ReadString would not guarantee.
-func readPhysicalLine(r *bufio.Reader) (string, error) {
-	var buf []byte
-	for {
-		chunk, err := r.ReadSlice('\n')
-		buf = append(buf, chunk...)
-		switch err {
-		case bufio.ErrBufferFull:
-			if len(buf) > MaxPhysicalLine {
-				return "", errFrameTooLong
-			}
-		case nil:
-			buf = buf[:len(buf)-1] // strip the newline
-			if len(buf) > MaxPhysicalLine {
-				return "", errFrameTooLong
-			}
-			return string(buf), nil
-		default:
-			return "", err
-		}
-	}
-}
-
-// frameReader reads logical lines like readFrame but amortizes the
-// buffers: the physical-line scratch and the decode scratch live across
-// frames, so a long-lived session reader (server or client) costs one
-// string allocation per frame instead of rebuilding the plumbing each
-// time. readFrame remains the stateless reference form.
+// frameReader reads logical lines: it joins continuation-wrapped physical
+// lines and undoes the escape scheme. The physical-line scratch and the
+// decode scratch live across frames, so a long-lived session reader
+// (server or client) costs one string allocation per frame.
 type frameReader struct {
 	br   *bufio.Reader
 	line []byte // physical-line overflow scratch
@@ -173,10 +124,13 @@ func (fr *frameReader) next() (string, error) {
 	}
 }
 
-// readLine reads one newline-terminated physical line under the same
-// bounded-memory rules as readPhysicalLine. The returned slice aliases
-// either the bufio buffer (the common whole-line-in-buffer case — no
-// copy) or fr.line; it is valid until the next readLine call.
+// readLine reads one newline-terminated physical line of at most
+// MaxPhysicalLine bytes. A line that keeps going past the cap aborts with
+// errFrameTooLong before it is buffered whole — a peer streaming bytes
+// with no newline (pre-hello, unauthenticated) must cost bounded memory.
+// The returned slice aliases either the bufio buffer (the common
+// whole-line-in-buffer case — no copy) or fr.line; it is valid until the
+// next readLine call.
 func (fr *frameReader) readLine() ([]byte, error) {
 	chunk, err := fr.br.ReadSlice('\n')
 	if err == nil {
@@ -338,10 +292,6 @@ func parseOpGroup(frame string) (opGroupMsg, error) {
 }
 
 // Server-side frames.
-
-func encodeSnap(epoch, seq uint64, doc []byte) string {
-	return fmt.Sprintf("snap %d %d %s", epoch, seq, doc)
-}
 
 func encodeCommitted(seq uint64, clientID string, clientSeq uint64, payload string) string {
 	return fmt.Sprintf("op %d %s %d %s", seq, clientID, clientSeq, payload)

@@ -3,9 +3,17 @@ package docserve
 import (
 	"bufio"
 	"bytes"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 )
+
+// readOne reads a single frame from r with a fresh frameReader.
+func readOne(r io.Reader) (string, error) {
+	fr := frameReader{br: bufio.NewReader(r)}
+	return fr.next()
+}
 
 func roundTripFrame(t *testing.T, line string) string {
 	t.Helper()
@@ -14,9 +22,9 @@ func roundTripFrame(t *testing.T, line string) string {
 	if err := writeFrame(w, line); err != nil {
 		t.Fatalf("writeFrame(%q): %v", line, err)
 	}
-	got, err := readFrame(bufio.NewReader(&buf))
+	got, err := readOne(&buf)
 	if err != nil {
-		t.Fatalf("readFrame after %q: %v", line, err)
+		t.Fatalf("reading back %q: %v", line, err)
 	}
 	return got
 }
@@ -31,7 +39,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		"trailing backslash \\",
 		"control \x01 bytes \x7f",
 		strings.Repeat("long line ", 20000), // wraps many physical lines
-		"snap 1 2 " + strings.Repeat("payload\nwith newlines\n", 500),
+		"snapr 1 2 11000 0 " + strings.Repeat("payload\nwith newlines\n", 500),
 	}
 	for _, c := range cases {
 		if got := roundTripFrame(t, c); got != c {
@@ -50,9 +58,9 @@ func TestFrameSequence(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	r := bufio.NewReader(&buf)
+	r := frameReader{br: bufio.NewReader(&buf)}
 	for _, want := range frames {
-		got, err := readFrame(r)
+		got, err := r.next()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,7 +72,7 @@ func TestFrameSequence(t *testing.T) {
 
 func TestReadFrameRejectsOverlongPhysicalLine(t *testing.T) {
 	raw := strings.Repeat("x", MaxPhysicalLine+10) + "\n"
-	if _, err := readFrame(bufio.NewReader(strings.NewReader(raw))); err == nil {
+	if _, err := readOne(strings.NewReader(raw)); err == nil {
 		t.Fatal("overlong physical line accepted")
 	}
 }
@@ -87,7 +95,7 @@ func TestReadFrameBoundsEndlessLine(t *testing.T) {
 	// forever). The old ReadString-based reader buffered the whole "line"
 	// before any limit check ran.
 	src := &endlessReader{}
-	_, err := readFrame(bufio.NewReader(src))
+	_, err := readOne(src)
 	if err == nil {
 		t.Fatal("endless line accepted")
 	}
@@ -101,7 +109,7 @@ func TestReadFrameBoundsEndlessLine(t *testing.T) {
 
 func TestReadFrameRejectsBadEscape(t *testing.T) {
 	for _, raw := range []string{"bad \\uzz; escape\n", "bad \\q escape\n"} {
-		if _, err := readFrame(bufio.NewReader(strings.NewReader(raw))); err == nil {
+		if _, err := readOne(strings.NewReader(raw)); err == nil {
 			t.Fatalf("bad escape %q accepted", raw)
 		}
 	}
@@ -192,11 +200,20 @@ func TestParseCommitted(t *testing.T) {
 	}
 }
 
+// TestSnapFrameCarriesRawDocument: a document that fits one frame travels
+// as a run of one snapr range frame holding the raw document bytes.
 func TestSnapFrameCarriesRawDocument(t *testing.T) {
 	doc := "\\begindata{text,1}\nline one\nline two\n\\enddata{text,1}\n"
-	frame := roundTripFrame(t, encodeSnap(3, 9, []byte(doc)))
-	parts := strings.SplitN(frame, " ", 4)
-	if len(parts) != 4 || parts[0] != "snap" || parts[3] != doc {
+	frames := buildSnapFrames(3, 9, []byte(doc), maxServeBytes)
+	defer releaseFrames(frames)
+	if len(frames) != 1 {
+		t.Fatalf("%d frames for a small document, want 1", len(frames))
+	}
+	frame, err := readOne(bytes.NewReader(frames[0].b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("snapr 3 9 %d 0 %s", len(doc), doc); frame != want {
 		t.Fatalf("snap frame mangled: %q", frame)
 	}
 }

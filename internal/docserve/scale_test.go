@@ -88,14 +88,14 @@ func TestServeErrFrameDeliveredOnKill(t *testing.T) {
 	cEnd, sEnd := net.Pipe()
 	go srv.HandleConn(sEnd)
 	defer cEnd.Close()
-	br := bufio.NewReader(cEnd)
+	fr := frameReader{br: bufio.NewReader(cEnd)}
 	bw := bufio.NewWriter(cEnd)
 	if err := writeFrame(bw, encodeHello("d", "rude")); err != nil {
 		t.Fatal(err)
 	}
-	// Catch-up: snap, live.
+	// Catch-up: snapr, live.
 	for i := 0; i < 2; i++ {
-		if _, err := readFrame(br); err != nil {
+		if _, err := fr.next(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -106,7 +106,7 @@ func TestServeErrFrameDeliveredOnKill(t *testing.T) {
 	}
 	_ = cEnd.SetReadDeadline(time.Now().Add(5 * time.Second))
 	for {
-		f, err := readFrame(br)
+		f, err := fr.next()
 		if err != nil {
 			t.Fatalf("connection died before any err frame: %v", err)
 		}
@@ -118,7 +118,7 @@ func TestServeErrFrameDeliveredOnKill(t *testing.T) {
 		}
 	}
 	// After the drain the server closes its end.
-	if _, err := readFrame(br); err == nil {
+	if _, err := fr.next(); err == nil {
 		t.Fatal("connection still open after kill")
 	}
 }
@@ -220,6 +220,56 @@ func TestServeCommitsLiveDuringChunkedAttach(t *testing.T) {
 	convergeAll(t, h, early, late)
 	if !strings.Contains(late.Doc().String(), "live-during-attach") {
 		t.Fatal("joiner missed the op committed during its chunked attach")
+	}
+}
+
+// TestServeAttachOutlastsCommitStorm pins the history replay behind a
+// snapshot attach: more commits land during the joiner's encode than its
+// queue holds, and the joiner still attaches (it used to be evicted as a
+// slow consumer before it had read a byte) and converges.
+func TestServeAttachOutlastsCommitStorm(t *testing.T) {
+	reg := testReg(t)
+	const queueLen = 8
+	h := NewHost("d", newDoc(t, "storm\n"), HostOptions{QueueLen: queueLen})
+	srv := NewServer(HostOptions{})
+	srv.AddHost(h)
+
+	var armed atomic.Bool
+	gateRan := make(chan error, 1)
+	var early *Client
+	h.attachGate = func() {
+		if !armed.CompareAndSwap(true, false) {
+			return
+		}
+		for i := 0; i < 3*queueLen; i++ {
+			if err := early.Doc().Insert(0, "x"); err != nil {
+				gateRan <- err
+				return
+			}
+			if err := early.Sync(3 * time.Second); err != nil {
+				gateRan <- err
+				return
+			}
+		}
+		gateRan <- nil
+	}
+
+	early = pipeClient(t, srv, "d", "early", reg)
+	mustInsert(t, early.Doc(), 0, "warm ")
+	if err := early.Sync(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	armed.Store(true)
+	late := pipeClient(t, srv, "d", "late", reg)
+	if err := <-gateRan; err != nil {
+		t.Fatalf("commit during attach: %v", err)
+	}
+	convergeAll(t, h, early, late)
+	if got := strings.Count(late.Doc().String(), "x"); got != 3*queueLen {
+		t.Fatalf("joiner holds %d of the %d ops committed during its attach", got, 3*queueLen)
+	}
+	if st := h.Stats(); st.SlowConsumerKicks != 0 {
+		t.Fatalf("attach storm kicked %d sessions as slow consumers", st.SlowConsumerKicks)
 	}
 }
 
@@ -330,9 +380,19 @@ func TestSoakMultiDocument(t *testing.T) {
 	// The soak's random deletes may have eaten any content, seeds included,
 	// so cross-shard interference is checked with post-quiescence markers:
 	// each document's first client commits a doc-tagged insert, and every
-	// document must end up containing exactly its own tag.
+	// document must end up containing exactly its own tag. The marker
+	// client first catches up to its host: a replica still behind would
+	// insert against a stale base, and a foreign delete around position 0
+	// would rightly swallow the marker (insert inside a delete).
 	for d := 0; d < docs; d++ {
 		c := slots[d*clientsPer].c
+		_, seq, err := hosts[d].Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.WaitSeq(seq, 10*time.Second); err != nil {
+			t.Fatalf("doc %d marker client catching up: %v", d, err)
+		}
 		if err := c.Doc().Insert(0, fmt.Sprintf("marker-doc%d ", d)); err != nil {
 			t.Fatal(err)
 		}

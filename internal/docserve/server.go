@@ -137,7 +137,8 @@ func (s *Server) HandleConn(conn net.Conn) {
 	if s.opts.IdleTimeout > 0 {
 		_ = conn.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
 	}
-	frame, err := readFrame(br)
+	fr := frameReader{br: br}
+	frame, err := fr.next()
 	if err != nil {
 		s.rejected.Add(1)
 		_ = conn.Close()

@@ -37,9 +37,13 @@ type session struct {
 	once sync.Once
 
 	// catchup is staged by attach (snapshot or op replay) and written by
-	// writeLoop before anything from the queue — the frames were encoded
-	// outside the host lock, while commits kept flowing into the queue.
+	// writeLoop before anything from the queue.
 	catchup []*frameBuf
+	// attaching is set while attach encodes a snapshot outside the host
+	// lock: fan-out skips the session, and attach replays the ops it
+	// missed from history instead, so a commit storm during a long encode
+	// cannot overflow a queue nothing drains yet. Host lock guards it.
+	attaching bool
 }
 
 type outFrame struct {
@@ -100,11 +104,7 @@ func (h *Host) attach(conn net.Conn, hello helloMsg) (*session, error) {
 		h.opsSinceLocked(hello.since) >= 0 &&
 		h.opsSinceLocked(hello.since) <= h.opts.QueueLen/2 {
 		fb := getFrame() // one coalesced buffer: every replayed op, then live
-		for _, op := range h.hist {
-			if op.seq > hello.since {
-				h.appendCommittedLocked(fb, op.seq, op.clientID, op.clientSeq, op.wire)
-			}
-		}
+		h.appendHistSinceLocked(fb, hello.since)
 		h.appendLiveLocked(fb, h.seq)
 		s.catchup = append(s.catchup, fb)
 		h.opResyncs++
@@ -114,8 +114,8 @@ func (h *Host) attach(conn net.Conn, hello helloMsg) (*session, error) {
 	h.snapResyncs++
 	if len(h.snapFrames) > 0 && h.snapSeq == h.seq {
 		// The seq-keyed snapshot cache holds the current state already
-		// encoded (one snap frame, or a run of snapr range frames): attach
-		// costs no encode at all.
+		// encoded as its run of snapr range frames: attach costs no encode
+		// at all.
 		for _, fb := range h.snapFrames {
 			fb.retain()
 			s.catchup = append(s.catchup, fb)
@@ -132,17 +132,18 @@ func (h *Host) attach(conn net.Conn, hello helloMsg) (*session, error) {
 	// Cache miss: capture the document state under the lock (a piece-table
 	// extract — one rune copy, far cheaper than the escape-encode), then
 	// release it while encoding and framing so concurrent commits are not
-	// stalled. They enqueue into s.out in commit order with seq > seq0,
-	// exactly the ops the seq0 snapshot needs appended. A document bigger
-	// than the per-frame bound streams to the client as a run of snapr
-	// range frames instead of one oversized snap frame, so document size
-	// no longer caps joinability.
+	// stalled. They skip the attaching session and land in history, from
+	// where the ops with seq > seq0 — exactly what the seq0 snapshot needs
+	// appended — follow it in one coalesced frame. The document streams to
+	// the client as a run of snapr range frames, each within the per-frame
+	// bound, so document size does not cap joinability.
 	clone, err := h.doc.Extract(0, h.doc.Len())
 	if err != nil {
 		h.discardSessionLocked(s)
 		return nil, err
 	}
 	seq0, epoch := h.seq, h.epoch
+	s.attaching = true
 	h.mu.Unlock()
 	if h.attachGate != nil {
 		h.attachGate()
@@ -153,13 +154,18 @@ func (h *Host) attach(conn net.Conn, hello helloMsg) (*session, error) {
 		frames = buildSnapFrames(epoch, seq0, b, h.opts.MaxSnapshotBytes)
 	}
 	h.mu.Lock()
+	s.attaching = false
 	if _, live := h.sessions[s]; !live {
-		// Evicted while encoding (queue overflow under a commit storm).
+		// Killed while encoding (the host closed or drained).
 		releaseFrames(frames)
 		s.releaseQueued()
 		return nil, fmt.Errorf("document %s: session disconnected during attach", h.name)
 	}
+	if encErr == nil && h.opsSinceLocked(seq0) < 0 {
+		encErr = fmt.Errorf("document %s: %d commits during attach outran the history window", h.name, h.seq-seq0)
+	}
 	if encErr != nil {
+		releaseFrames(frames)
 		h.discardSessionLocked(s)
 		return nil, encErr
 	}
@@ -168,7 +174,8 @@ func (h *Host) attach(conn net.Conn, hello helloMsg) (*session, error) {
 		h.snapChunks += uint64(n)
 	}
 	live := getFrame()
-	h.appendLiveLocked(live, seq0)
+	h.appendHistSinceLocked(live, seq0)
+	h.appendLiveLocked(live, h.seq)
 	s.catchup = append(s.catchup, live)
 	if h.seq == seq0 {
 		// Still current: publish to the snapshot cache and refresh the

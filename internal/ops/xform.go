@@ -161,27 +161,6 @@ func shiftRunsDelete(runs []text.Run, q, m int) []text.Run {
 	return out
 }
 
-// XformDualText is XformDual specialized to bare text records — the form
-// the text-only transform tests and tooling use.
-func XformDualText(xs, ys []text.EditRecord, xsLater bool) (xs2, ys2 []text.EditRecord) {
-	if len(xs) == 0 || len(ys) == 0 {
-		// Clip capacities so a later append on a returned slice can never
-		// scribble into the caller's backing array.
-		return xs[:len(xs):len(xs)], ys[:len(ys):len(ys)]
-	}
-	if len(xs) == 1 && len(ys) == 1 {
-		return XformText(xs[0], ys[0], xsLater), XformText(ys[0], xs[0], !xsLater)
-	}
-	if len(xs) > 1 {
-		head, ys1 := XformDualText(xs[:1], ys, xsLater)
-		tail, ysOut := XformDualText(xs[1:], ys1, xsLater)
-		return append(head, tail...), ysOut
-	}
-	xs1, head := XformDualText(xs, ys[:1], xsLater)
-	xsOut, tail := XformDualText(xs1, ys[1:], xsLater)
-	return xsOut, append(head, tail...)
-}
-
 // synthRecord renders a footprint as the text record that would splice the
 // rune sequence the same way — the bridge that lets foreign-kind ops
 // reuse the text transform rules verbatim.

@@ -15,15 +15,12 @@ import (
 // The offset index is a sidecar written beside every saved document
 // (IndexPath), describing the saved bytes well enough that a later open
 // can map the document without parsing it: where the top component's
-// content payload begins and ends, how many runes and logical lines it
-// holds, and a byte/rune offset mark every markEvery logical lines. Each
-// record is CRC-framed with the same line discipline as the edit journal:
+// content payload begins and ends, and how many runes and logical lines
+// it holds. It is a framed-record file (records.go) of two records:
 //
-//	%atkindex1
+//	%atkindex2
 //	0 <crc> meta <docLen> <docCRC> <headLen> <headCRC> <runes> <lines>
 //	1 <crc> comp <type> <id> <contentStart> <contentEnd> <streamable>
-//	2 <crc> mark <line> <rune> <byte>
-//	...
 //
 // The meta record binds the sidecar to one exact saved file: the open
 // path trusts the index only when the file's size equals docLen AND the
@@ -34,26 +31,17 @@ import (
 // falls back to the full parse. The index is an accelerator, never an
 // authority: wrong bytes are impossible, only slow opens.
 
-// IndexMagic is the first line of every offset-index sidecar.
-const IndexMagic = "%atkindex1"
-
-// markEvery is how many logical content lines separate offset marks.
-const markEvery = 4096
+// Payload formats of the two index records.
+const (
+	indexMetaFormat = "meta %d %08x %d %08x %d %d"
+	indexCompFormat = "comp %s %d %d %d %d"
+)
 
 // headProbe is how many leading bytes the meta record's head CRC covers.
 const headProbe = 4096
 
 // IndexPath returns where the offset index for path lives.
 func IndexPath(path string) string { return path + ".idx" }
-
-// IndexMark maps one logical content line to its offsets: Rune is the
-// content-rune position at which the line's text begins, Byte the file
-// offset of its first physical line.
-type IndexMark struct {
-	Line int
-	Rune int
-	Byte int64
-}
 
 // DocIndex is the parsed offset index of one saved document.
 type DocIndex struct {
@@ -73,22 +61,6 @@ type DocIndex struct {
 	// Totals over the content payload.
 	Runes int
 	Lines int
-
-	Marks []IndexMark
-}
-
-// MarkBefore returns the last mark at or before the given logical line
-// (zero value when no mark precedes it).
-func (ix *DocIndex) MarkBefore(line int) IndexMark {
-	best := IndexMark{}
-	for _, m := range ix.Marks {
-		if m.Line <= line {
-			best = m
-		} else {
-			break
-		}
-	}
-	return best
 }
 
 // BuildIndex scans one saved document and derives its offset index in a
@@ -159,7 +131,6 @@ func BuildIndex(doc []byte) *DocIndex {
 
 	// Content payload: logical text lines only, up to our end marker.
 	var scratch []byte
-	logicalStart := off
 	inLogical := false
 	for ok {
 		if !inLogical && bytes.Equal(line, endMarker) {
@@ -175,7 +146,6 @@ func BuildIndex(doc []byte) *DocIndex {
 			return ix // embedded object or foreign nesting: not streamable
 		}
 		if !inLogical {
-			logicalStart = off
 			scratch = scratch[:0]
 		}
 		var cont bool
@@ -186,25 +156,12 @@ func BuildIndex(doc []byte) *DocIndex {
 		}
 		inLogical = cont
 		if !cont {
-			if ix.Lines%markEvery == 0 {
-				ix.Marks = append(ix.Marks, IndexMark{Line: ix.Lines, Rune: contentRuneOffset(ix.Runes, ix.Lines), Byte: int64(logicalStart)})
-			}
 			ix.Runes += utf8.RuneCount(scratch)
 			ix.Lines++
 		}
 		line, off, ok = nextLine()
 	}
 	return ix // EOF before the end marker: torn file, not streamable
-}
-
-// contentRuneOffset is where logical line number `lines` begins in the
-// joined content: the runes of every earlier line plus one join newline
-// between each adjacent pair.
-func contentRuneOffset(runesSoFar, lines int) int {
-	if lines == 0 {
-		return 0
-	}
-	return runesSoFar + lines
 }
 
 // ContentRunes returns the total rune length of the joined content.
@@ -238,23 +195,14 @@ func splitMarker(line, prefix string) (typ string, id int, err error) {
 
 // encode renders the sidecar's full on-disk bytes.
 func (ix *DocIndex) encode() []byte {
-	var b strings.Builder
-	b.WriteString(IndexMagic + "\n")
-	seq := uint64(0)
-	rec := func(payload string) {
-		b.WriteString(frameRecord(seq, payload))
-		seq++
-	}
-	rec(fmt.Sprintf("meta %d %08x %d %08x %d %d", ix.DocLen, ix.DocCRC, ix.HeadLen, ix.HeadCRC, ix.Runes, ix.Lines))
 	streamable := 0
 	if ix.Streamable {
 		streamable = 1
 	}
-	rec(fmt.Sprintf("comp %s %d %d %d %d", ix.CompType, ix.CompID, ix.ContentStart, ix.ContentEnd, streamable))
-	for _, m := range ix.Marks {
-		rec(fmt.Sprintf("mark %d %d %d", m.Line, m.Rune, m.Byte))
-	}
-	return []byte(b.String())
+	return EncodeRecords(IndexMagic, []string{
+		fmt.Sprintf(indexMetaFormat, ix.DocLen, ix.DocCRC, ix.HeadLen, ix.HeadCRC, ix.Runes, ix.Lines),
+		fmt.Sprintf(indexCompFormat, ix.CompType, ix.CompID, ix.ContentStart, ix.ContentEnd, streamable),
+	})
 }
 
 // WriteIndex atomically writes the sidecar for path.
@@ -267,107 +215,24 @@ func WriteIndex(fsys FS, path string, ix *DocIndex) error {
 }
 
 // parseIndex decodes sidecar bytes. Unlike journal replay there is no
-// tolerated damage: any torn, corrupt, or out-of-order record invalidates
-// the whole index, because a half-trusted accelerator is worse than none.
+// tolerated damage: any torn, corrupt, out-of-order or malformed record
+// invalidates the whole index, because a half-trusted accelerator is worse
+// than none.
 func parseIndex(b []byte) (*DocIndex, error) {
-	s := string(b)
-	nl := strings.IndexByte(s, '\n')
-	if nl < 0 || s[:nl] != IndexMagic {
-		return nil, fmt.Errorf("persist: not an offset index (bad magic)")
+	recs, err := ReadRecords(b, IndexMagic)
+	if err != nil {
+		return nil, err
 	}
-	s = s[nl+1:]
 	ix := &DocIndex{}
-	wantSeq := uint64(0)
-	for len(s) > 0 {
-		var logical strings.Builder
-		for {
-			nl = strings.IndexByte(s, '\n')
-			if nl < 0 {
-				return nil, fmt.Errorf("persist: torn index record")
-			}
-			line := s[:nl]
-			s = s[nl+1:]
-			cont, err := datastream.DecodeLine(&logical, line)
-			if err != nil {
-				return nil, fmt.Errorf("persist: undecodable index record: %w", err)
-			}
-			if !cont {
-				break
-			}
-			if len(s) == 0 {
-				return nil, fmt.Errorf("persist: index continuation runs off the end")
-			}
-		}
-		seq, payload, ok := parseRecord(logical.String())
-		if !ok || seq != wantSeq {
-			return nil, fmt.Errorf("persist: invalid index record where seq %d expected", wantSeq)
-		}
-		if err := ix.applyRecord(seq, payload); err != nil {
-			return nil, err
-		}
-		wantSeq++
+	streamable := 0
+	if len(recs) != 2 ||
+		!ScanRecord(recs[0], indexMetaFormat, &ix.DocLen, &ix.DocCRC, &ix.HeadLen, &ix.HeadCRC, &ix.Runes, &ix.Lines) ||
+		!ScanRecord(recs[1], indexCompFormat, &ix.CompType, &ix.CompID, &ix.ContentStart, &ix.ContentEnd, &streamable) ||
+		streamable < 0 || streamable > 1 {
+		return nil, fmt.Errorf("persist: malformed offset index (want meta and comp records)")
 	}
-	if wantSeq < 2 {
-		return nil, fmt.Errorf("persist: index missing meta/comp records")
-	}
+	ix.Streamable = streamable == 1
 	return ix, nil
-}
-
-func (ix *DocIndex) applyRecord(seq uint64, payload string) error {
-	f := strings.Fields(payload)
-	bad := func() error { return fmt.Errorf("persist: malformed index record %q", payload) }
-	if len(f) == 0 {
-		return bad()
-	}
-	switch f[0] {
-	case "meta":
-		if seq != 0 || len(f) != 7 {
-			return bad()
-		}
-		docLen, e1 := strconv.ParseInt(f[1], 10, 64)
-		docCRC, e2 := strconv.ParseUint(f[2], 16, 32)
-		headLen, e3 := strconv.Atoi(f[3])
-		headCRC, e4 := strconv.ParseUint(f[4], 16, 32)
-		runes, e5 := strconv.Atoi(f[5])
-		lines, e6 := strconv.Atoi(f[6])
-		if e1 != nil || e2 != nil || e3 != nil || e4 != nil || e5 != nil || e6 != nil {
-			return bad()
-		}
-		ix.DocLen, ix.DocCRC = docLen, uint32(docCRC)
-		ix.HeadLen, ix.HeadCRC = headLen, uint32(headCRC)
-		ix.Runes, ix.Lines = runes, lines
-	case "comp":
-		if seq != 1 || len(f) != 6 {
-			return bad()
-		}
-		id, e1 := strconv.Atoi(f[2])
-		start, e2 := strconv.ParseInt(f[3], 10, 64)
-		end, e3 := strconv.ParseInt(f[4], 10, 64)
-		streamable, e4 := strconv.Atoi(f[5])
-		if e1 != nil || e2 != nil || e3 != nil || e4 != nil {
-			return bad()
-		}
-		ix.CompType, ix.CompID = f[1], id
-		ix.ContentStart, ix.ContentEnd = start, end
-		ix.Streamable = streamable == 1
-	case "mark":
-		if seq < 2 || len(f) != 4 {
-			return bad()
-		}
-		line, e1 := strconv.Atoi(f[1])
-		runeOff, e2 := strconv.Atoi(f[2])
-		byteOff, e3 := strconv.ParseInt(f[3], 10, 64)
-		if e1 != nil || e2 != nil || e3 != nil {
-			return bad()
-		}
-		if n := len(ix.Marks); n > 0 && ix.Marks[n-1].Line >= line {
-			return bad()
-		}
-		ix.Marks = append(ix.Marks, IndexMark{Line: line, Rune: runeOff, Byte: byteOff})
-	default:
-		return bad()
-	}
-	return nil
 }
 
 // LoadIndex reads and validates the offset index for path against the
@@ -408,11 +273,6 @@ func LoadIndex(fsys FS, path string) (*DocIndex, error) {
 	if ix.Streamable {
 		if ix.ContentStart < 0 || ix.ContentEnd < ix.ContentStart || ix.ContentEnd > size {
 			return nil, fmt.Errorf("persist: offset index content range out of bounds")
-		}
-		for _, m := range ix.Marks {
-			if m.Byte < ix.ContentStart || m.Byte > ix.ContentEnd {
-				return nil, fmt.Errorf("persist: offset index mark out of bounds")
-			}
 		}
 	}
 	return ix, nil

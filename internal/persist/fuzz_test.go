@@ -1,8 +1,10 @@
 package persist
 
 import (
+	"slices"
 	"strings"
 	"testing"
+	"unicode/utf8"
 
 	"atk/internal/text"
 )
@@ -13,7 +15,7 @@ import (
 // into ez at startup, so none of it may panic, and damage must only ever
 // shorten the replay, never corrupt the document structure.
 func replayOverDoc(b []byte) string {
-	rep := ReplayJournalBytes(b)
+	rep := replayBytes(b)
 	doc := text.NewString("seed content\nsecond line\n")
 	doc.WithoutUndo(func() {
 		for _, payload := range rep.Records {
@@ -77,4 +79,41 @@ func TestFuzzSeedsReplaySafely(t *testing.T) {
 	} {
 		_ = replayOverDoc([]byte(s))
 	}
+}
+
+// FuzzRecords pins the two readers of the framed-record codec to each
+// other — the strict read succeeds exactly when the tolerant read reports
+// no damage, and then both return the same records — and the writer to
+// the readers: any valid UTF-8 payloads (the records read, and the
+// input's own lines taken as payloads) encode to a file that reads back
+// strictly as exactly those payloads.
+func FuzzRecords(f *testing.F) {
+	whole := EncodeRecords(JournalMagic, []string{"base 00000000", "i 0 h\u00e9llo", "i 5 " + strings.Repeat("wrap me ", 20)})
+	f.Add(whole)
+	f.Add(whole[:len(whole)-3])                                  // torn tail
+	f.Add(whole[:len(whole)-1])                                  // no final newline
+	f.Add(EncodeRecords(JournalMagic, nil))                      // magic only
+	f.Add(EncodeRecords(IndexMagic, []string{"meta 1 2 3 4 5"})) // other magic
+	f.Add([]byte(JournalMagic + "\n1 00000000 out of sequence\n"))
+	f.Add([]byte(JournalMagic + "\n0 7C9DBE93 base 00000000\n")) // upper-case CRC
+	f.Add([]byte(JournalMagic + "\n0 deadbeef \\u41;\\q\n"))     // bad escape
+	f.Fuzz(func(t *testing.T, b []byte) {
+		prefix, damage := readRecordPrefix(b, JournalMagic)
+		strict, err := ReadRecords(b, JournalMagic)
+		if (err == nil) != (damage == "") {
+			t.Fatalf("strict err %v but tolerant damage %q", err, damage)
+		}
+		if err == nil && !slices.Equal(strict, prefix) {
+			t.Fatalf("strict read %q, tolerant read %q", strict, prefix)
+		}
+		for _, recs := range [][]string{prefix, strings.Split(string(b), "\n")} {
+			if !utf8.ValidString(strings.Join(recs, "")) {
+				continue // the writer escapes runes, so invalid UTF-8 cannot survive it
+			}
+			back, err := ReadRecords(EncodeRecords(JournalMagic, recs), JournalMagic)
+			if err != nil || !slices.Equal(back, recs) {
+				t.Fatalf("payloads %q read back as %q (%v)", recs, back, err)
+			}
+		}
+	})
 }

@@ -50,13 +50,6 @@ func (m *MemFS) Crash() {
 	}
 }
 
-// SyncedNames returns how many names are durable (test introspection).
-func (m *MemFS) SyncedNames() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.stable)
-}
-
 func notExist(op, name string) error {
 	return &os.PathError{Op: op, Path: name, Err: os.ErrNotExist}
 }

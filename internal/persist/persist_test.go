@@ -180,6 +180,12 @@ func TestMemFSAppendRevertsToLastSync(t *testing.T) {
 
 // --- Journal framing and replay ---
 
+// frameRecord renders one record as its on-disk bytes.
+func frameRecord(seq uint64, payload string) string {
+	b, _ := appendFrameRecord(nil, nil, seq, payload)
+	return string(b)
+}
+
 func mustJournal(t *testing.T, fsys FS, path string, recs ...string) *Journal {
 	t.Helper()
 	j, err := CreateJournal(fsys, path, "base 00000000", nil)
@@ -242,6 +248,37 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 }
 
+// TestJournalGoldenBytes pins the journal's on-disk bytes: the header,
+// carried-over records and appends (escapes, a tab, a wrapped record) come
+// out exactly as every earlier build wrote them, so old journals replay
+// and new ones stay readable by old builds.
+func TestJournalGoldenBytes(t *testing.T) {
+	mem := NewMemFS()
+	j, err := CreateJournal(mem, "j", "base 89ab12cd", []string{"i 0 carried", "d 3 1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []string{"i 7 h\u00e9llo\tw\\orld", "s 0 4 bold", "i 2 " + strings.Repeat("wrap me ", 12), "t 0 x"} {
+		if err := j.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadFile(mem, "j")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "%atkjournal1\n0 f9498f7d base 89ab12cd\n1 50a83b0a i 0 carried\n2 8bcb6fd1 d 3 1\n" +
+		"3 c636e7f3 i 7 h\\ue9;llo\tw\\\\orld\n4 3080cada s 0 4 bold\n" +
+		"5 84497641 i 2 wrap me wrap me wrap me wrap me wrap me wrap me wrap me wrap me\\\n wrap me wrap me wrap me wrap me \n" +
+		"6 12229b2d t 0 x\n"
+	if string(got) != want {
+		t.Fatalf("journal bytes changed:\n got %q\nwant %q", got, want)
+	}
+}
+
 func TestJournalMissing(t *testing.T) {
 	if _, err := ReplayJournal(NewMemFS(), "nope"); err != ErrNoJournal {
 		t.Fatalf("err = %v, want ErrNoJournal", err)
@@ -269,7 +306,7 @@ func TestJournalTruncatedTailTolerated(t *testing.T) {
 	// return a record that wasn't written, and keep every record whose
 	// bytes fully survive.
 	for cut := 0; cut < len(whole); cut++ {
-		rep := ReplayJournalBytes(whole[:cut])
+		rep := replayBytes(whole[:cut])
 		if len(rep.Records) > 3 {
 			t.Fatalf("cut %d: invented records: %v", cut, rep.Records)
 		}
@@ -297,7 +334,7 @@ func TestJournalCorruptInteriorStopsReplay(t *testing.T) {
 	b, _ := ReadFile(mem, "j")
 	// Flip a byte inside the second record's payload.
 	s := strings.Replace(string(b), "bbb", "bXb", 1)
-	rep := ReplayJournalBytes([]byte(s))
+	rep := replayBytes([]byte(s))
 	if !rep.Damaged {
 		t.Fatal("corruption not detected")
 	}
@@ -311,7 +348,7 @@ func TestJournalRejectsSplicedSequence(t *testing.T) {
 	// must stop at the gap rather than silently skip an edit.
 	body := JournalMagic + "\n" + frameRecord(0, "base 00000000") +
 		frameRecord(1, "i 0 first") + frameRecord(3, "i 9 skipped ahead")
-	rep := ReplayJournalBytes([]byte(body))
+	rep := replayBytes([]byte(body))
 	if !rep.Damaged || len(rep.Records) != 1 {
 		t.Fatalf("damaged=%v records=%v", rep.Damaged, rep.Records)
 	}

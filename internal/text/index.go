@@ -209,18 +209,6 @@ func (d *Data) noteDelete(pos, n int) {
 // O(1). An empty buffer has one line; a trailing newline opens another.
 func (d *Data) LineCount() int { return len(d.nl) + 1 }
 
-// LineOf returns the zero-based hard-line number containing pos, in
-// O(log L).
-func (d *Data) LineOf(pos int) int {
-	if pos < 0 {
-		return 0
-	}
-	if pos > d.length {
-		pos = d.length
-	}
-	return sort.SearchInts(d.nl, pos)
-}
-
 // Runes returns a copy of the runes in [start, end) (clamped), walking
 // the pieces directly — one allocation, no string round trip.
 func (d *Data) Runes(start, end int) []rune {

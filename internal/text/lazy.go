@@ -44,12 +44,6 @@ func (d *Data) SetTailLoader(l TailLoader) {
 // Pending reports whether deferred content remains to be loaded.
 func (d *Data) Pending() bool { return d.tail != nil }
 
-// TailErr returns the error that stopped tail loading, if any. A failed
-// tail leaves the document truncated at the last good chunk; mutations
-// still work, but the persistence layer refuses to overwrite the
-// original file from a truncated buffer.
-func (d *Data) TailErr() error { return d.tailErr }
-
 // PendingRunes estimates how many runes are not yet loaded.
 func (d *Data) PendingRunes() int {
 	if d.tail == nil {
@@ -99,9 +93,9 @@ func (d *Data) LoadAll() error {
 	return d.tailErr
 }
 
-// ensureLoaded is the load-before-mutate gate. Load failures surface
-// through TailErr; the mutation proceeds on the truncated document so an
-// interactive session degrades instead of dying.
+// ensureLoaded is the load-before-mutate gate. A load failure latches
+// (LoadAll reports it again); the mutation proceeds on the truncated
+// document so an interactive session degrades instead of dying.
 func (d *Data) ensureLoaded() {
 	if d.tail != nil {
 		_ = d.LoadAll()

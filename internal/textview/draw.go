@@ -106,18 +106,12 @@ func (v *View) posToX(ln line, pos int) int {
 // caret is scrolled out of view.
 func (v *View) caretGeometry() (x, y, h int, ok bool) {
 	li := v.lineOf(v.dot)
-	if li < v.topLine {
-		return 0, 0, 0, false
-	}
-	y = 2
-	for i := v.topLine; i < li; i++ {
-		y += v.lines[i].h
-	}
-	if y >= v.Bounds().Dy() {
+	r := v.lineRect(li)
+	if r.Empty() {
 		return 0, 0, 0, false
 	}
 	ln := v.lines[li]
-	return v.posToX(ln, v.dot), y, ln.h, true
+	return v.posToX(ln, v.dot), r.Min.Y, ln.h, true
 }
 
 // posAt maps a local point to the nearest buffer position.

@@ -282,18 +282,32 @@ func (v *View) repairLine(ch core.Change) (graphics.Rect, bool) {
 			}
 		}
 	}
-	if li < v.topLine {
-		return graphics.Rect{}, true // scrolled above the viewport
+	damage := v.lineRect(li)
+	// A Return typed at the end of a soft-wrapped line re-lays that line
+	// in place, now ending in the newline, but carries the caret past it
+	// to the start of the next display line, whose strip (adjacent, so
+	// the union is exact) must repaint too.
+	if v.dot == newLn.nlEnd && newLn.nlEnd > newLn.end {
+		damage = damage.Union(v.lineRect(li + 1))
+	}
+	return damage, true
+}
+
+// lineRect returns the local strip laid-out line i occupies, empty when
+// it is scrolled out of the viewport.
+func (v *View) lineRect(i int) graphics.Rect {
+	if i < v.topLine {
+		return graphics.Rect{}
 	}
 	y := 2
-	for i := v.topLine; i < li; i++ {
-		y += v.lines[i].h
+	for j := v.topLine; j < i; j++ {
+		y += v.lines[j].h
 	}
 	h := v.Bounds().Dy()
 	if y >= h {
-		return graphics.Rect{}, true // scrolled below the viewport
+		return graphics.Rect{}
 	}
-	return graphics.XYWH(0, y, v.Bounds().Dx(), min(old.h, h-y)), true
+	return graphics.XYWH(0, y, v.Bounds().Dx(), min(v.lines[i].h, h-y))
 }
 
 // anchorIn reports whether [start,end) contains an embed anchor rune.

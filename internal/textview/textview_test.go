@@ -494,3 +494,23 @@ func TestViewStringer(t *testing.T) {
 		t.Fatal("empty stringer wrong")
 	}
 }
+
+// TestReturnAtSoftWrapDamagesCaretLine: a Return typed at the end of a
+// soft-wrapped display line re-lays that line in place, but the caret
+// moves onto the next display line. The incremental raster must still
+// equal a full redraw, caret included.
+func TestReturnAtSoftWrapDamagesCaretLine(t *testing.T) {
+	im, win, v, _ := newIMWithView(t, strings.Repeat("wrap me ", 12)+"\nnext line\nlast\n", 160, 120)
+	if len(v.lines) < 3 || v.lines[0].nlEnd != v.lines[0].end {
+		t.Fatalf("first display line does not soft-wrap: %+v", v.lines)
+	}
+	v.SetDot(v.lines[0].end)
+	im.FlushUpdates()
+	v.insert("\n") // what Return does
+	im.FlushUpdates()
+	got := win.Snapshot()
+	im.FullRedraw()
+	if want := win.Snapshot(); !got.Equal(want) {
+		t.Fatal("incremental repaint after Return at a soft wrap differs from a full redraw")
+	}
+}
