@@ -14,8 +14,8 @@ test:
 # It builds and vets every package, runs the full test suite under the
 # race detector (which includes the golden-frame comparisons), and
 # smoke-fuzzes the datastream readers, the repaint equivalence oracle,
-# journal replay, the framed-record codec, the server protocol and the
-# ops codec.
+# journal replay, the framed-record codec, the server protocol, the
+# client's frame handling and the ops codec.
 verify:
 	$(GO) build ./...
 	$(GO) vet ./...
@@ -27,6 +27,7 @@ verify:
 	$(GO) test -fuzz=FuzzJournalReplay -fuzztime=10s ./internal/persist
 	$(GO) test -fuzz=FuzzRecords -fuzztime=10s ./internal/persist
 	$(GO) test -fuzz=FuzzServerProtocol -fuzztime=10s ./internal/docserve
+	$(GO) test -fuzz=FuzzClientFrames -fuzztime=10s ./internal/docserve
 	$(GO) test -fuzz=FuzzOpsCodec -fuzztime=10s ./internal/ops
 	$(GO) run ./cmd/slogate -bench BENCH_text.json -bench BENCH_docserve.json -bench BENCH_stream.json
 
@@ -40,6 +41,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzJournalReplay -fuzztime=$(FUZZTIME) ./internal/persist
 	$(GO) test -fuzz=FuzzRecords -fuzztime=$(FUZZTIME) ./internal/persist
 	$(GO) test -fuzz=FuzzServerProtocol -fuzztime=$(FUZZTIME) ./internal/docserve
+	$(GO) test -fuzz=FuzzClientFrames -fuzztime=$(FUZZTIME) ./internal/docserve
 	$(GO) test -fuzz=FuzzOpsCodec -fuzztime=$(FUZZTIME) ./internal/ops
 
 # generate rebuilds committed artifacts (testdata/sample.d).

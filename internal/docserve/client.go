@@ -57,7 +57,7 @@ type Client struct {
 	attached  bool
 	// snapAcc assembles an in-progress chunked snapshot (snapr frames).
 	snapAcc  *snapAccum
-	draining bool // Resume is replaying the dead connection's leftovers
+	draining bool // a heal is replaying the dead connection's leftovers
 
 	nextClientSeq uint64
 	inflight      *inflightGroup
@@ -66,7 +66,7 @@ type Client struct {
 	// ack or by the echo of its records).
 	ackedGroup uint64
 
-	inbox  chan string // reader goroutine -> owner; closed on read error
+	inbox  chan string // reader goroutine -> owner; closed when the connection is lost
 	hbStop chan struct{}
 	hbSeq  int
 
@@ -101,9 +101,6 @@ type Client struct {
 	state      atomic.Int32  // ConnState
 	reconnects atomic.Uint64 // successful resumes
 	healing    bool          // a supervisor is (re)dialing
-	connLost   bool          // lastErr latched by a transport loss, not a protocol error
-	attempts   int           // dial attempts this outage
-	resumeErr  error         // last failed heal-resume cause, for the give-up report
 	rng        *rand.Rand    // backoff jitter; owner creates, supervisor uses while running
 	healc      chan healEvent
 	healAck    chan bool
@@ -121,6 +118,13 @@ type inflightGroup struct {
 	recs      []ops.Op
 }
 
+const (
+	// maxGroup bounds records per op group (within MaxRecordsPerOp).
+	maxGroup = 256
+	// inboxLen bounds frames queued between the reader goroutine and Pump.
+	inboxLen = 1024
+)
+
 // ClientOptions tune a replica. The zero value needs ClientID and Registry
 // filled in; everything else has defaults.
 type ClientOptions struct {
@@ -136,15 +140,10 @@ type ClientOptions struct {
 	// HeartbeatEvery pings the host periodically so its idle timeout sees a
 	// live session even when the user stops typing (0 = no heartbeats).
 	HeartbeatEvery time.Duration
-	// HandshakeTimeout bounds each read during Connect/Resume catch-up
+	// HandshakeTimeout bounds each read during Connect and resume catch-up
 	// when IdleTimeout is unset, so a server that accepts but never
 	// streams makes Connect fail instead of hang. Default 30s.
 	HandshakeTimeout time.Duration
-	// MaxGroup bounds records per op group. Default 256.
-	MaxGroup int
-	// InboxLen bounds frames queued between the reader goroutine and Pump.
-	// Default 1024.
-	InboxLen int
 	// OnRemoteOp, if set, is called (on the owner goroutine, from Pump)
 	// after each foreign committed op is applied.
 	OnRemoteOp func(seq uint64)
@@ -156,20 +155,12 @@ type ClientOptions struct {
 	// Dial, if set, makes the client self-heal: on connection loss a
 	// supervisor goroutine redials through it with exponential backoff and
 	// full jitter, and the next Pump resumes the session. Unset, a lost
-	// connection latches the client dead (the historical behavior); the
-	// owner may still call Resume by hand.
+	// connection latches the client dead.
 	Dial func() (net.Conn, error)
 	// BackoffBase/BackoffCap bound the redial schedule: attempt n sleeps
 	// rand(0, min(BackoffCap, BackoffBase<<(n-1))). Defaults 50ms / 3s.
 	BackoffBase time.Duration
 	BackoffCap  time.Duration
-	// MaxAttempts caps dial attempts per outage before the client latches
-	// Failed. 0 means retry forever.
-	MaxAttempts int
-	// OfflineAfter is how many consecutive failed attempts demote
-	// Reconnecting to Offline (the user-visible "this outage is real").
-	// Default 3.
-	OfflineAfter int
 	// BackoffSeed seeds the jitter for reproducible schedules in tests.
 	// 0 seeds from the clock.
 	BackoffSeed int64
@@ -188,15 +179,6 @@ type ClientOptions struct {
 }
 
 func (o ClientOptions) withDefaults() ClientOptions {
-	if o.MaxGroup <= 0 {
-		o.MaxGroup = 256
-	}
-	if o.MaxGroup > MaxRecordsPerOp {
-		o.MaxGroup = MaxRecordsPerOp
-	}
-	if o.InboxLen <= 0 {
-		o.InboxLen = 1024
-	}
 	if o.HandshakeTimeout <= 0 {
 		o.HandshakeTimeout = 30 * time.Second
 	}
@@ -205,9 +187,6 @@ func (o ClientOptions) withDefaults() ClientOptions {
 	}
 	if o.BackoffCap <= 0 {
 		o.BackoffCap = 3 * time.Second
-	}
-	if o.OfflineAfter <= 0 {
-		o.OfflineAfter = 3
 	}
 	return o
 }
@@ -261,43 +240,9 @@ func Connect(conn net.Conn, docName string, opts ClientOptions) (*Client, error)
 	return c, nil
 }
 
-// Resume reattaches over a fresh connection after a disconnect, presenting
-// the epoch and confirmed seq so the host can replay just the missed ops.
-// Unacknowledged local edits survive: the in-flight group is re-sent (the
-// host answers idempotently if it had in fact committed it) and buffered
-// edits promote as usual. Only a snapshot resync — the host's history
-// window no longer reaching our resume point — discards them, counted in
-// DroppedPending.
-func (c *Client) Resume(conn net.Conn) error {
-	c.stopHeartbeat()
-	if c.conn != nil {
-		_ = c.conn.Close()
-	}
-	if err := c.drainDeadInbox(); err != nil {
-		return err
-	}
-	c.lastErr = nil
-	c.live = false
-	c.closed = false
-	c.wmu.Lock()
-	c.conn = conn
-	c.bw = bufio.NewWriter(conn)
-	c.wmu.Unlock()
-	c.br = bufio.NewReader(conn)
-	if err := c.sendRaw(encodeHelloResume(c.docName, c.opts.ClientID, c.epoch, c.confirmed)); err != nil {
-		return err
-	}
-	if err := c.catchUp(); err != nil {
-		return err
-	}
-	c.startReader()
-	c.startHeartbeat()
-	return nil
-}
-
 // catchUp processes frames synchronously until the host says live. Every
 // catch-up read carries a deadline — IdleTimeout when set, else
-// HandshakeTimeout — so Connect/Resume fail instead of hanging on a
+// HandshakeTimeout — so Connect and resume fail instead of hanging on a
 // server that accepted the hello but never streams.
 func (c *Client) catchUp() error {
 	d := c.opts.IdleTimeout
@@ -326,7 +271,7 @@ func (c *Client) catchUp() error {
 // startReader spawns the connection reader for the current conn. It is the
 // inbox's only sender and closes it when the connection dies.
 func (c *Client) startReader() {
-	inbox := make(chan string, c.opts.InboxLen)
+	inbox := make(chan string, inboxLen)
 	c.inbox = inbox
 	conn, br, idle := c.conn, c.br, c.opts.IdleTimeout
 	go func() {
@@ -358,6 +303,7 @@ func (c *Client) startHeartbeat() {
 	}
 	stop := make(chan struct{})
 	c.hbStop = stop
+	conn := c.conn
 	go func() {
 		t := time.NewTicker(c.opts.HeartbeatEvery)
 		defer t.Stop()
@@ -366,7 +312,8 @@ func (c *Client) startHeartbeat() {
 			case <-t.C:
 				c.hbSeq++
 				if c.sendRaw(fmt.Sprintf("ping hb%d", c.hbSeq)) != nil {
-					return // reader will notice the dead conn and close the inbox
+					_ = conn.Close() // a failed send is a lost connection
+					return
 				}
 			case <-stop:
 				return
@@ -428,7 +375,7 @@ func (c *Client) PendingCount() int {
 }
 
 // Err returns the latched fatal error, if any. A client with an error is
-// dead until Resume.
+// dead: only a lost connection heals, and a latched error is not one.
 func (c *Client) Err() error { return c.lastErr }
 
 // Live reports whether the replica has caught up to the host's stream.
@@ -441,44 +388,30 @@ func (c *Client) Live() bool { return c.live }
 // replica never sees concurrent mutation.
 func (c *Client) Pump() error {
 	c.pumpHeal()
-	if err := c.pumpLost(); err != nil {
-		return err
-	}
-	for {
-		if c.inbox == nil {
-			return c.lastErr
-		}
+	for c.inbox != nil {
 		select {
 		case f, ok := <-c.inbox:
-			if !ok {
-				return c.lostConn(errors.New("docserve: connection lost"), 0)
-			}
-			if err := c.handleFrame(f); err != nil {
-				return c.frameErr(err)
+			if err := c.deliver(f, ok); err != nil {
+				return err
 			}
 		default:
 			return c.lastErr
 		}
 	}
+	return c.lastErr
 }
 
-// pumpLost converts a transport-loss latch (a failed send, noticed before
-// the reader saw the dead socket) into a heal.
-func (c *Client) pumpLost() error {
-	if !c.connLost {
-		return nil
+// deliver takes one receive from the inbox. The closed inbox is the one
+// signal of a lost connection, and a server drain notice is the one frame
+// that also starts a heal; any other frame error is already latched.
+func (c *Client) deliver(f string, ok bool) error {
+	if !ok {
+		return c.lostConn(errors.New("docserve: connection lost"), 0)
 	}
-	c.connLost = false
-	cause := c.lastErr
-	c.lastErr = nil
-	return c.lostConn(cause, 0)
-}
-
-// frameErr routes a handleFrame error: a server drain notice starts a
-// heal; anything else is already latched fatal.
-func (c *Client) frameErr(err error) error {
-	var lost *connLostError
-	if errors.As(err, &lost) {
+	err := c.handleFrame(f)
+	// handleFrame returns a drain notice bare; a type assertion, unlike
+	// errors.As, costs the per-frame path no allocation.
+	if lost, isLost := err.(*connLostError); isLost {
 		return c.lostConn(lost.cause, lost.retryAfter)
 	}
 	return err
@@ -489,108 +422,76 @@ func (c *Client) frameErr(err error) error {
 // wakes it to resume rather than sleeping out the full wait.
 func (c *Client) PumpWait(d time.Duration) error {
 	c.pumpHeal()
-	if err := c.pumpLost(); err != nil {
-		return err
-	}
-	if c.inbox != nil {
-		// Fast path: a frame is already queued — no timer needed at all. In
-		// a busy stream this is the common case.
-		select {
-		case f, ok := <-c.inbox:
-			if !ok {
-				return c.lostConn(errors.New("docserve: connection lost"), 0)
-			}
-			if err := c.handleFrame(f); err != nil {
-				return c.frameErr(err)
-			}
-			return c.Pump()
-		default:
-		}
-	} else if !c.healing {
+	if c.inbox == nil && !c.healing {
 		return c.lastErr
 	}
-	// The wait timer is reused across calls (PumpWait runs once per
-	// delivered frame in a read-mostly replica's idle loop; a fresh timer
-	// per call is measurable garbage). Stop-and-drain leaves it ready for
-	// the next Reset.
-	if c.pumpTimer == nil {
-		c.pumpTimer = time.NewTimer(d)
-	} else {
-		c.pumpTimer.Reset(d)
-	}
-	stop := func() {
-		if !c.pumpTimer.Stop() {
-			select {
-			case <-c.pumpTimer.C:
-			default:
+	var f string
+	var ok bool
+	select {
+	case f, ok = <-c.inbox:
+		// Fast path: a frame is already queued — no timer needed at all. In
+		// a busy stream this is the common case.
+	default:
+		// The wait timer is reused across calls (PumpWait runs once per
+		// delivered frame in a read-mostly replica's idle loop; a fresh timer
+		// per call is measurable garbage). Stop-and-drain leaves it ready for
+		// the next Reset.
+		if c.pumpTimer == nil {
+			c.pumpTimer = time.NewTimer(d)
+		} else {
+			c.pumpTimer.Reset(d)
+		}
+		stop := func() {
+			if !c.pumpTimer.Stop() {
+				select {
+				case <-c.pumpTimer.C:
+				default:
+				}
 			}
 		}
-	}
-	if c.inbox == nil {
-		// Healing: the only thing worth waking for is a supervisor event.
+		// While healing the inbox is nil and only a supervisor event can
+		// wake the wait; while connected no supervisor runs.
 		select {
+		case f, ok = <-c.inbox:
+			stop()
 		case ev := <-c.healc:
 			stop()
 			c.handleHealEvent(ev)
-			if c.inbox != nil {
-				return c.Pump()
-			}
-			return c.lastErr
+			return c.Pump()
 		case <-c.pumpTimer.C:
 			return c.lastErr
 		}
 	}
-	select {
-	case f, ok := <-c.inbox:
-		stop()
-		if !ok {
-			return c.lostConn(errors.New("docserve: connection lost"), 0)
-		}
-		if err := c.handleFrame(f); err != nil {
-			return c.frameErr(err)
-		}
-		return c.Pump()
-	case <-c.pumpTimer.C:
-		return c.lastErr
+	if err := c.deliver(f, ok); err != nil {
+		return err
 	}
+	return c.Pump()
 }
 
 // Sync pumps until every local edit is confirmed or timeout elapses.
 func (c *Client) Sync(timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		// Success is checked before any pump error: Pump latches
-		// "connection lost" the moment it drains past the inbox's closed
-		// end, which may be the very call that confirmed the last edit.
-		// Reaching the goal and then losing the connection is success.
-		err := c.Pump()
-		if c.inflight == nil && len(c.buffer) == 0 {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		rem := time.Until(deadline)
-		if rem <= 0 {
-			return fmt.Errorf("docserve: sync timed out with %d edits pending", c.PendingCount())
-		}
-		if err := c.PumpWait(rem); err != nil {
-			if c.inflight == nil && len(c.buffer) == 0 {
-				return nil // the frame that confirmed the last edit came with the loss
-			}
-			return err
-		}
-	}
+	return c.pumpUntil(timeout, func() bool { return c.inflight == nil && len(c.buffer) == 0 }, func() error {
+		return fmt.Errorf("docserve: sync timed out with %d edits pending", c.PendingCount())
+	})
 }
 
 // WaitSeq pumps until the replica has applied server seq or beyond.
 func (c *Client) WaitSeq(seq uint64, timeout time.Duration) error {
+	return c.pumpUntil(timeout, func() bool { return c.confirmed >= seq }, func() error {
+		return fmt.Errorf("docserve: timed out at seq %d waiting for %d", c.confirmed, seq)
+	})
+}
+
+// pumpUntil pumps until done holds, or returns timedOut() once timeout
+// elapses. done is checked before any pump error: Pump latches
+// "connection lost" the moment it drains past the inbox's closed end,
+// which may be the very call that delivered the goal's last frame.
+// Reaching the goal and then losing the connection is success.
+func (c *Client) pumpUntil(timeout time.Duration, done func() bool, timedOut func() error) error {
 	deadline := time.Now().Add(timeout)
 	for {
-		// As in Sync: the frames that reach seq and the connection loss
-		// can arrive in the same Pump; the goal being met wins.
 		err := c.Pump()
-		if c.confirmed >= seq {
+		if done() {
 			return nil
 		}
 		if err != nil {
@@ -598,18 +499,16 @@ func (c *Client) WaitSeq(seq uint64, timeout time.Duration) error {
 		}
 		rem := time.Until(deadline)
 		if rem <= 0 {
-			return fmt.Errorf("docserve: timed out at seq %d waiting for %d", c.confirmed, seq)
+			return timedOut()
 		}
-		if err := c.PumpWait(rem); err != nil {
-			if c.confirmed >= seq {
-				return nil // the frame that reached seq came with the loss
-			}
+		if err := c.PumpWait(rem); err != nil && !done() {
 			return err
 		}
 	}
 }
 
-// fatal latches err and returns it; the client is dead until Resume.
+// fatal latches err and returns it; outside a heal attempt the client is
+// dead.
 func (c *Client) fatal(err error) error {
 	if c.lastErr == nil {
 		c.lastErr = err
@@ -708,7 +607,9 @@ func (c *Client) handleSnapRange(frame string) error {
 		if offset != 0 {
 			return c.fatal(fmt.Errorf("docserve: snapshot range starts at offset %d, not 0", offset))
 		}
-		c.snapAcc = &snapAccum{epoch: epoch, seq: seq, total: total, buf: make([]byte, 0, total)}
+		// total is the peer's claim: reserve no more than one frame can
+		// deliver, and let append grow the buffer as ranges arrive.
+		c.snapAcc = &snapAccum{epoch: epoch, seq: seq, total: total, buf: make([]byte, 0, min(total, MaxFrameBytes))}
 	}
 	acc := c.snapAcc
 	if epoch != acc.epoch || seq != acc.seq || total != acc.total || offset != len(acc.buf) {
@@ -1028,8 +929,8 @@ func (c *Client) maybePromote() {
 		return
 	}
 	k := len(c.buffer)
-	if k > c.opts.MaxGroup {
-		k = c.opts.MaxGroup
+	if k > maxGroup {
+		k = maxGroup
 	}
 	c.nextClientSeq++
 	c.inflight = &inflightGroup{clientSeq: c.nextClientSeq, recs: c.buffer[:k:k]}
@@ -1039,10 +940,11 @@ func (c *Client) maybePromote() {
 
 // sendGroup encodes and sends the in-flight group, building the logical
 // line in reusable buffers (encodeOpGroup is the string reference form).
-// Failures latch; the in-flight state is kept so Resume can re-send.
+// A failed send is a lost connection; the in-flight state is kept so the
+// resumed session re-sends it.
 func (c *Client) sendGroup() {
 	if c.draining {
-		return // the old connection is gone; Resume re-sends what matters
+		return // the old connection is gone; the resume re-sends what matters
 	}
 	b := c.lineBuf[:0]
 	b = append(b, "op "...)
@@ -1066,11 +968,9 @@ func (c *Client) sendGroup() {
 		err = c.bw.Flush()
 	}
 	c.wmu.Unlock()
-	if err != nil && c.lastErr == nil {
-		c.lastErr = fmt.Errorf("docserve: send: %w", err)
-		// A failed send is a transport loss: the next Pump heals it (the
-		// in-flight state is kept, so the resumed session re-sends).
-		c.connLost = true
+	if err != nil {
+		// Closing ends the reader, whose closed inbox starts the heal.
+		_ = c.conn.Close()
 	}
 }
 

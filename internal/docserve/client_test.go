@@ -3,10 +3,15 @@ package docserve
 import (
 	"bufio"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"testing"
 	"time"
+
+	"atk/internal/class"
+	"atk/internal/persist"
+	"atk/internal/text"
 )
 
 // scriptServer wraps the server end of a pipe for a hand-written server
@@ -26,6 +31,58 @@ func writeSnap(bw *bufio.Writer, epoch, seq uint64, doc []byte) error {
 		}
 	}
 	return bw.Flush()
+}
+
+// frameClient attaches a client through Connect to "hello" at epoch 1,
+// seq 0, behind a script server that then discards whatever the client
+// sends. Tests hand frames straight to handleFrame on the owner goroutine;
+// the background reader sees no frame until Close ends it.
+func frameClient(reg *class.Registry) (*Client, error) {
+	snap, err := persist.EncodeDocument(text.NewString("hello"))
+	if err != nil {
+		return nil, err
+	}
+	cEnd, sEnd := net.Pipe()
+	go func() {
+		defer sEnd.Close()
+		fr, bw := scriptServer(sEnd)
+		if _, err := fr.next(); err != nil { // hello
+			return
+		}
+		if writeSnap(bw, 1, 0, snap) != nil || writeFrame(bw, encodeLive(0)) != nil {
+			return
+		}
+		_, _ = io.Copy(io.Discard, fr.br)
+	}()
+	return Connect(cEnd, "doc", ClientOptions{ClientID: "me", Registry: reg})
+}
+
+// TestClientSnapRangeTotalIsAClaim: the total in a snapr header is the
+// peer's word, not an allocation size. A total past what any slice can
+// hold must not panic the client, and a large one reserves no more than
+// one frame can deliver before the bytes arrive.
+func TestClientSnapRangeTotalIsAClaim(t *testing.T) {
+	for _, frame := range []string{
+		"snapr 1 1 9000000000000000000 0 x",
+		"snapr 1 1 134217728 0 x",
+	} {
+		c, err := frameClient(testReg(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if err := c.handleFrame(frame); err != nil || c.Err() != nil {
+			t.Fatalf("%q: %v (latched %v)", frame, err, c.Err())
+		}
+		if n := cap(c.snapAcc.buf); n > MaxFrameBytes {
+			t.Fatalf("%q reserved %d bytes up front", frame, n)
+		}
+		// The run is still checked: a range that does not continue it is
+		// a protocol error.
+		if err := c.handleFrame("snapr 1 1 5 2 yz"); err == nil || c.Err() == nil {
+			t.Fatalf("%q: mismatched range accepted", frame)
+		}
+	}
 }
 
 // TestClientRebaseDeterministic drives a client against a hand-written

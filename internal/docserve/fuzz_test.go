@@ -3,6 +3,8 @@ package docserve
 import (
 	"bufio"
 	"bytes"
+	"errors"
+	"fmt"
 	"io"
 	"net"
 	"strings"
@@ -106,6 +108,66 @@ func FuzzServerProtocol(f *testing.F) {
 		_ = df.Close()
 		if got != want {
 			t.Fatalf("journal replay diverged from served state:\nserved: %q\nreplayed: %q", want, got)
+		}
+	})
+}
+
+// FuzzClientFrames feeds arbitrary frame sequences to an attached client
+// with one edit group in flight. Whatever the server says, the client must
+// not panic; a frame it accepts leaves nothing latched; and a frame it
+// refuses is either latched in Err() or a drain notice, the one refusal
+// that starts a heal.
+func FuzzClientFrames(f *testing.F) {
+	snap, err := persist.EncodeDocument(text.NewString("fresh"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, seq := range [][]string{
+		{"ok 1 1 1"},
+		{encodeCommitted(1, "me", 1, "i 0 abc")},
+		{encodeCommitted(1, "other", 1, "i 0 ZZ"), "ok 1 1 2"},
+		{encodeCommitted(1, "other", 1, "s 0 3 bold"), encodeCommitted(2, "other", 1, "d 0 2")},
+		{fmt.Sprintf("snapr 1 4 %d 0 %s", len(snap), snap), "live 4"},
+		{fmt.Sprintf("snapr 1 4 %d 0 %s", len(snap), snap[:7]), fmt.Sprintf("snapr 1 4 %d 7 %s", len(snap), snap[7:])},
+		{"snapr 1 1 9000000000000000000 0 x"},
+		{"live 0"},
+		{"pong hb1"},
+		{"bye draining 10"},
+		{"bye"},
+		{"err too slow"},
+		{"nope"},
+	} {
+		f.Add(frames(seq...))
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c, err := frameClient(fuzzRegistry())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if err := c.Doc().Insert(0, "abc"); err != nil {
+			t.Fatal(err)
+		}
+		fr := frameReader{br: bufio.NewReader(bytes.NewReader(data))}
+		for {
+			frame, ferr := fr.next()
+			if ferr != nil {
+				return
+			}
+			err := c.handleFrame(frame)
+			var lost *connLostError
+			switch {
+			case err == nil && c.Err() != nil:
+				t.Fatalf("%q accepted but latched %v", frame, c.Err())
+			case errors.As(err, &lost) && c.Err() != nil:
+				t.Fatalf("%q: drain notice also latched %v", frame, c.Err())
+			case err != nil && lost == nil && !errors.Is(err, c.Err()):
+				t.Fatalf("%q refused with %v but latched %v", frame, err, c.Err())
+			}
+			if err != nil {
+				return
+			}
 		}
 	})
 }

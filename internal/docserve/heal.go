@@ -1,7 +1,7 @@
 package docserve
 
 import (
-	"errors"
+	"bufio"
 	"fmt"
 	"math/rand"
 	"net"
@@ -22,7 +22,7 @@ import (
 //
 //	supervisor goroutine   dial + backoff sleeps only; talks to the owner
 //	                       through the healc/healAck channel pair
-//	owner goroutine        everything else — Resume runs inside Pump, so
+//	owner goroutine        everything else — resume runs inside Pump, so
 //	                       the replica, the buffers, and the views are
 //	                       never touched concurrently
 //
@@ -36,14 +36,16 @@ import (
 
 // ConnState is the client connection-state machine:
 //
-//	Connected ──(loss)──> Reconnecting ──(OfflineAfter failures)──> Offline
-//	     ^                     │  │                                    │
-//	     └─────(resume ok)─────┘  └──(MaxAttempts exhausted)──> Failed ┘
+//	Connected ──(loss)──> Reconnecting ──(3 failed attempts)──> Offline
+//	     ^                     │                                  │
+//	     └─────────────(resume ok, from either)───────────────────┘
+//	Connected ──(protocol violation)──> Failed
 //
-// Offline is still retrying — it is Reconnecting after enough consecutive
-// failures to tell the user the outage is real. Failed is terminal: the
-// supervisor has given up (MaxAttempts) or the error was a protocol
-// violation no redial can cure.
+// A loss is the closed inbox (a failed send closes the connection, so it
+// is one too) or a server drain notice. Offline is still retrying — it is
+// Reconnecting after enough consecutive failures to tell the user the
+// outage is real. Failed is terminal: a protocol violation no redial can
+// cure.
 type ConnState int32
 
 const (
@@ -52,6 +54,10 @@ const (
 	StateOffline
 	StateFailed
 )
+
+// offlineAfter is how many consecutive failed attempts demote
+// Reconnecting to Offline.
+const offlineAfter = 3
 
 func (s ConnState) String() string {
 	switch s {
@@ -99,12 +105,11 @@ func (e *connLostError) Error() string { return e.cause.Error() }
 func (e *connLostError) Unwrap() error { return e.cause }
 
 // healEvent is one supervisor -> owner message: a fresh connection to
-// resume over, a failed dial, or the supervisor giving up.
+// resume over, or a failed dial.
 type healEvent struct {
-	conn    net.Conn // non-nil: dial succeeded, owner must Resume and reply on healAck
-	err     error    // dial (or final) failure
+	conn    net.Conn // non-nil: dial succeeded, owner must resume and reply on healAck
+	err     error    // dial failure
 	attempt int      // dials performed so far this outage
-	gaveUp  bool     // MaxAttempts exhausted; the supervisor has exited
 }
 
 // backoffDelay is the redial schedule: full jitter over an exponentially
@@ -132,8 +137,7 @@ func backoffDelay(rng *rand.Rand, base, cap time.Duration, attempt int) time.Dur
 }
 
 // lostConn is the owner-side entry point for a connection loss: start
-// healing when a Dial is configured, latch dead otherwise (the historical
-// behavior, still what tests and manual-Resume callers rely on).
+// healing when a Dial is configured, latch dead otherwise.
 func (c *Client) lostConn(cause error, retryAfter time.Duration) error {
 	if c.closed || c.opts.Dial == nil {
 		return c.fatal(cause)
@@ -144,20 +148,9 @@ func (c *Client) lostConn(cause error, retryAfter time.Duration) error {
 // beginHeal tears down the dead connection, opens the offline journal,
 // and starts the dial supervisor. Owner goroutine.
 func (c *Client) beginHeal(cause error, retryAfter time.Duration) error {
-	c.stopHeartbeat()
-	if c.conn != nil {
-		_ = c.conn.Close()
-	}
-	if err := c.drainDeadInbox(); err != nil {
+	if err := c.dropConn(); err != nil {
 		return c.fatal(err)
 	}
-	c.inbox = nil
-	c.live = false
-	c.lastErr = nil
-	c.connLost = false
-	c.resumeErr = nil
-	c.snapAcc = nil
-	c.attempts = 0
 	c.openOffline()
 	c.healing = true
 	c.setState(StateReconnecting, cause)
@@ -171,10 +164,26 @@ func (c *Client) beginHeal(cause error, retryAfter time.Duration) error {
 	return nil
 }
 
+// dropConn closes the current connection — the dead one at the start of a
+// heal, or a fresh one whose resume failed — and resets the session to
+// not live, nothing latched, no snapshot half assembled. Frames the old
+// reader delivered first are still applied.
+func (c *Client) dropConn() error {
+	c.stopHeartbeat()
+	if c.conn != nil {
+		_ = c.conn.Close()
+	}
+	err := c.drainDeadInbox()
+	c.live = false
+	c.lastErr = nil
+	c.snapAcc = nil
+	return err
+}
+
 // runSupervisor is the dial engine: sleep the backoff, dial, hand the
-// result to the owner, repeat until a resume succeeds, MaxAttempts is
-// exhausted, or stop closes. It touches nothing of the client but the
-// rng (owner-created, supervisor-owned while running) and the channels.
+// result to the owner, repeat until a resume succeeds or stop closes. It
+// touches nothing of the client but the rng (owner-created,
+// supervisor-owned while running) and the channels.
 func (c *Client) runSupervisor(stop, done chan struct{}, minFirst time.Duration) {
 	defer close(done)
 	attempt := 0
@@ -198,34 +207,26 @@ func (c *Client) runSupervisor(stop, done chan struct{}, minFirst time.Duration)
 		attempt++
 		conn, err := c.opts.Dial()
 		if err != nil {
-			gaveUp := c.opts.MaxAttempts > 0 && attempt >= c.opts.MaxAttempts
-			if !c.postHeal(stop, healEvent{err: err, attempt: attempt, gaveUp: gaveUp}) || gaveUp {
+			if !c.postHeal(stop, healEvent{err: err, attempt: attempt}) {
 				return
 			}
-			delay = backoffDelay(c.rng, c.opts.BackoffBase, c.opts.BackoffCap, attempt+1)
-			continue
-		}
-		if !c.postHeal(stop, healEvent{conn: conn, attempt: attempt}) {
-			_ = conn.Close()
-			return
-		}
-		select {
-		case ok := <-c.healAck:
-			if ok {
+		} else {
+			if !c.postHeal(stop, healEvent{conn: conn, attempt: attempt}) {
+				_ = conn.Close()
 				return
 			}
-			// The dial reached a server but Resume failed there (still
-			// draining, still restarting): a failed attempt like any other.
-			if c.opts.MaxAttempts > 0 && attempt >= c.opts.MaxAttempts {
-				if c.postHeal(stop, healEvent{attempt: attempt, gaveUp: true}) {
+			select {
+			case ok := <-c.healAck:
+				if ok {
 					return
 				}
+				// The dial reached a server but the resume failed there (still
+				// draining, still restarting): a failed attempt like any other.
+			case <-stop:
 				return
 			}
-			delay = backoffDelay(c.rng, c.opts.BackoffBase, c.opts.BackoffCap, attempt+1)
-		case <-stop:
-			return
 		}
+		delay = backoffDelay(c.rng, c.opts.BackoffBase, c.opts.BackoffCap, attempt+1)
 	}
 }
 
@@ -256,57 +257,56 @@ func (c *Client) pumpHeal() {
 
 // handleHealEvent processes one supervisor event on the owner goroutine:
 // resume over a fresh connection (replying the verdict on healAck), or
-// track dial failures into the Offline/Failed transitions.
+// count a failed dial toward Offline.
 func (c *Client) handleHealEvent(ev healEvent) {
-	if ev.conn != nil {
-		err := c.Resume(ev.conn)
-		if err != nil {
-			_ = ev.conn.Close()
-			// Resume latches catch-up failures; healing continues, so the
-			// latch must not outlive the attempt. Keep the cause for the
-			// give-up report.
-			c.resumeErr = err
-			c.lastErr = nil
-			c.live = false
-			c.inbox = nil
-			c.snapAcc = nil
-			c.degradeState(ev.attempt, err)
-			select {
-			case c.healAck <- false:
-			case <-c.superDone:
-			}
-			return
-		}
-		select {
-		case c.healAck <- true:
-		case <-c.superDone:
-		}
+	if ev.conn == nil {
+		c.degradeState(ev.attempt, ev.err)
+		return
+	}
+	err := c.resume(ev.conn)
+	if err != nil {
+		// Healing continues: the failed attempt's connection and any latch
+		// its catch-up left must not outlive it. The attempt started no
+		// reader, so there is no inbox to drain and no error to report.
+		_ = c.dropConn()
+		c.degradeState(ev.attempt, err)
+	}
+	select {
+	case c.healAck <- err == nil:
+	case <-c.superDone:
+	}
+	if err == nil {
 		c.endHeal()
-		return
 	}
-	if ev.gaveUp {
-		cause := ev.err
-		if cause == nil {
-			cause = c.resumeErr
-		}
-		if cause == nil {
-			cause = errors.New("docserve: reconnect failed")
-		}
-		c.healing = false
-		c.connLost = false
-		err := fmt.Errorf("docserve: gave up after %d reconnect attempts: %w", ev.attempt, cause)
-		c.lastErr = err
-		c.setState(StateFailed, err)
-		return
-	}
-	c.attempts = ev.attempt
-	c.degradeState(ev.attempt, ev.err)
 }
 
-// degradeState demotes Reconnecting to Offline after OfflineAfter
+// resume reattaches over a fresh connection, presenting the epoch and
+// confirmed seq so the host can replay just the missed ops. Unacknowledged
+// local edits survive: the in-flight group is re-sent (the host answers
+// idempotently if it had in fact committed it) and buffered edits promote
+// as usual. Only a snapshot resync — the host's history window no longer
+// reaching our resume point — discards them, counted in DroppedPending.
+func (c *Client) resume(conn net.Conn) error {
+	c.wmu.Lock()
+	c.conn = conn
+	c.bw = bufio.NewWriter(conn)
+	c.wmu.Unlock()
+	c.br = bufio.NewReader(conn)
+	if err := c.sendRaw(encodeResumeHello(c.docName, c.opts.ClientID, c.epoch, c.confirmed)); err != nil {
+		return err
+	}
+	if err := c.catchUp(); err != nil {
+		return err
+	}
+	c.startReader()
+	c.startHeartbeat()
+	return nil
+}
+
+// degradeState demotes Reconnecting to Offline after offlineAfter
 // consecutive failed attempts.
 func (c *Client) degradeState(attempts int, cause error) {
-	if c.healing && attempts >= c.opts.OfflineAfter && c.State() == StateReconnecting {
+	if attempts >= offlineAfter && c.State() == StateReconnecting {
 		c.setState(StateOffline, cause)
 	}
 }
@@ -315,9 +315,6 @@ func (c *Client) degradeState(attempts int, cause error) {
 // and drop the offline journal if nothing is pending anymore.
 func (c *Client) endHeal() {
 	c.healing = false
-	c.attempts = 0
-	c.resumeErr = nil
-	c.connLost = false
 	c.reconnects.Add(1)
 	c.setState(StateConnected, nil)
 	c.maybeDiscardOffline()
@@ -348,25 +345,23 @@ func (c *Client) stopSupervisor() {
 // drainDeadInbox applies whatever the old reader delivered before it
 // noticed the loss: those frames are valid committed state and the resume
 // point must account for them. Kick notices (err/bye) are why the
-// connection died — skip them. Blocks briefly until the reader closes the
-// inbox (the connection is already closed, so that is prompt).
+// connection died — skip them, and everything after a frame that fails.
+// Blocks briefly until the reader closes the inbox (the connection is
+// already closed, so that is prompt).
 func (c *Client) drainDeadInbox() error {
 	if c.inbox == nil {
 		return nil
 	}
+	var err error
 	c.draining = true
 	for f := range c.inbox {
-		if v := verbOf(f); v == "err" || v == "bye" {
-			continue
-		}
-		if err := c.handleFrame(f); err != nil {
-			c.draining = false
-			return err
+		if v := verbOf(f); err == nil && v != "err" && v != "bye" {
+			err = c.handleFrame(f)
 		}
 	}
 	c.draining = false
 	c.inbox = nil
-	return nil
+	return err
 }
 
 // --- offline edit durability -----------------------------------------
@@ -468,34 +463,31 @@ func (c *Client) recoverOffline() {
 		return // no journal (the common case) or unreadable: nothing to recover
 	}
 	if rep.Header != offlineHeader(c.docName, c.opts.ClientID, c.epoch, c.confirmed) {
-		_ = c.opts.OfflineFS.Rename(c.opts.OfflinePath, c.opts.OfflinePath+".stale")
+		c.dropOffline(".stale")
 		return
 	}
 	recs := make([]ops.Op, 0, len(rep.Records))
 	for _, wire := range rep.Records {
 		op, derr := ops.Decode(wire)
 		if derr != nil {
-			_ = c.opts.OfflineFS.Rename(c.opts.OfflinePath, c.opts.OfflinePath+".stale")
+			c.dropOffline(".stale")
 			return
 		}
 		recs = append(recs, op)
 	}
 	// Re-apply to the visible replica (op application stays out of the edit
-	// logger and the user's undo) and re-inject into the pipeline; the
-	// journal keeps protecting them until they confirm. An embed op replayed
-	// here recreates its component, which must be wired like any other.
+	// logger and the user's undo) and re-inject into the pipeline; a fresh
+	// journal of the same edits keeps protecting them until they confirm.
+	// An embed op replayed here recreates its component, which must be
+	// wired like any other.
 	for _, r := range recs {
 		if aerr := c.applyForeign(r); aerr != nil {
-			_ = c.opts.OfflineFS.Rename(c.opts.OfflinePath, c.opts.OfflinePath+".stale")
+			c.dropOffline(".stale")
 			return
 		}
 	}
 	c.buffer = append(c.buffer, recs...)
-	if j, jerr := persist.CreateJournal(c.opts.OfflineFS, c.opts.OfflinePath,
-		offlineHeader(c.docName, c.opts.ClientID, c.epoch, c.confirmed), rep.Records); jerr == nil {
-		j.BatchEvery = 1
-		c.offline = j
-	}
+	c.openOffline()
 	c.OfflineRecovered += len(recs)
 	c.maybePromote()
 }

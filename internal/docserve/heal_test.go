@@ -1,6 +1,7 @@
 package docserve
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -9,10 +10,12 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"atk/internal/persist"
+	"atk/internal/text"
 )
 
 // pipeDialer returns a Dial that opens a fresh in-process pipe to
@@ -65,7 +68,7 @@ func waitState(t *testing.T, c *Client, want ConnState) {
 		if time.Now().After(deadline) {
 			t.Fatalf("state %s never reached %s (err %v)", c.State(), want, c.Err())
 		}
-		if err := c.PumpWait(5 * time.Millisecond); err != nil && want != StateFailed {
+		if err := c.PumpWait(5 * time.Millisecond); err != nil {
 			t.Fatalf("pump while waiting for %s: %v", want, err)
 		}
 	}
@@ -76,16 +79,25 @@ func waitState(t *testing.T, c *Client, want ConnState) {
 // window before the client has even noticed the loss.)
 func waitReconnect(t *testing.T, c *Client, n uint64) {
 	t.Helper()
+	if err := awaitReconnect(c, n); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// awaitReconnect is waitReconnect for goroutines that cannot call
+// t.Fatal.
+func awaitReconnect(c *Client, n uint64) error {
 	deadline := time.Now().Add(10 * time.Second)
 	for c.Reconnects() < n || c.State() != StateConnected {
 		if time.Now().After(deadline) {
-			t.Fatalf("never reached %d reconnects: state %s, %d reconnects, err %v",
+			return fmt.Errorf("never reached %d reconnects: state %s, %d reconnects, err %v",
 				n, c.State(), c.Reconnects(), c.Err())
 		}
 		if err := c.PumpWait(5 * time.Millisecond); err != nil {
-			t.Fatalf("pump while waiting for reconnect: %v", err)
+			return fmt.Errorf("pump while waiting for reconnect: %w", err)
 		}
 	}
+	return nil
 }
 
 // TestBackoffDeterministicSchedule pins the redial schedule: a pure
@@ -169,38 +181,111 @@ func TestAutoResumeAfterCut(t *testing.T) {
 	}
 }
 
-// TestOfflineFailedStateTransitions walks the degradation ladder: a dial
-// that never succeeds demotes Reconnecting to Offline after OfflineAfter
-// failures and latches Failed when MaxAttempts is exhausted.
+// TestOfflineFailedStateTransitions walks the state machine's two exits
+// from Connected. A dial that never succeeds demotes Reconnecting to
+// Offline at the third failed attempt, and Offline keeps redialing with
+// nothing latched: no number of failures makes the client give up. A
+// protocol violation is the one way to Failed, and no heal follows it.
 func TestOfflineFailedStateTransitions(t *testing.T) {
 	h := NewHost("down.d", newDoc(t, ""), HostOptions{})
 	srv := NewServer(HostOptions{})
 	srv.AddHost(h)
 	var mu sync.Mutex
 	var states []ConnState
+	var causes []error
+	var dials atomic.Int32
 	c := healClient(t, &mu, &srv, "down.d", "down", func(o *ClientOptions) {
-		o.Dial = func() (net.Conn, error) { return nil, errors.New("host unreachable") }
-		o.MaxAttempts = 4
-		o.OfflineAfter = 2
-		o.OnState = func(s ConnState, err error) { states = append(states, s) }
+		o.Dial = func() (net.Conn, error) {
+			return nil, fmt.Errorf("host unreachable (dial %d)", dials.Add(1))
+		}
+		o.OnState = func(s ConnState, err error) {
+			states = append(states, s)
+			causes = append(causes, err)
+		}
 	})
 	_ = c.conn.Close()
-	waitState(t, c, StateFailed)
-	want := []ConnState{StateReconnecting, StateOffline, StateFailed}
-	if len(states) != len(want) {
-		t.Fatalf("state transitions %v, want %v", states, want)
+	waitState(t, c, StateOffline)
+	if len(states) != 2 || states[0] != StateReconnecting || states[1] != StateOffline {
+		t.Fatalf("state transitions %v, want [reconnecting offline]", states)
 	}
-	for i := range want {
-		if states[i] != want[i] {
-			t.Fatalf("state transitions %v, want %v", states, want)
+	if causes[1] == nil || !strings.Contains(causes[1].Error(), "(dial 3)") {
+		t.Fatalf("offline after %v, want the third failed dial", causes[1])
+	}
+	for dials.Load() < 10 {
+		if err := c.PumpWait(5 * time.Millisecond); err != nil {
+			t.Fatalf("pump while offline: %v", err)
 		}
 	}
-	if err := c.Err(); err == nil || !strings.Contains(err.Error(), "gave up after 4 reconnect attempts") {
-		t.Fatalf("latched error %v", err)
+	if c.State() != StateOffline || c.Err() != nil || len(states) != 2 {
+		t.Fatalf("after %d dials: state %s, err %v, transitions %v", dials.Load(), c.State(), c.Err(), states)
 	}
-	// Failed is terminal: pumping keeps returning the give-up error.
-	if err := c.Pump(); err == nil {
-		t.Fatal("Pump after give-up returned nil")
+
+	v := healClient(t, &mu, &srv, "down.d", "violated", nil)
+	if err := v.handleFrame(encodeCommitted(v.Confirmed()+2, "other", 1, "i 0 x")); err == nil {
+		t.Fatal("sequence gap accepted")
+	}
+	if v.State() != StateFailed {
+		t.Fatalf("protocol violation left state %s", v.State())
+	}
+	if err := v.PumpWait(20 * time.Millisecond); err == nil || !strings.Contains(err.Error(), "sequence gap") {
+		t.Fatalf("Pump after the violation returned %v", err)
+	}
+	if v.State() != StateFailed || v.Reconnects() != 0 {
+		t.Fatalf("violation healed: state %s, %d reconnects", v.State(), v.Reconnects())
+	}
+}
+
+// failWriteConn passes its first write (the resume hello) and refuses
+// every later one, while its reads stay open until Close.
+type failWriteConn struct {
+	net.Conn
+	writes int
+}
+
+func (f *failWriteConn) Write(p []byte) (int, error) {
+	if f.writes++; f.writes > 1 {
+		return 0, errors.New("write refused")
+	}
+	return f.Conn.Write(p)
+}
+
+// TestFailedSendHealsResume: when the resume re-sends the in-flight group
+// and that write fails while the connection still reads, the failed send
+// is a lost connection like any other. The client heals again over the
+// next dial and commits the edit, instead of staying Connected with a
+// latched send error.
+func TestFailedSendHealsResume(t *testing.T) {
+	h := NewHost("sendfail.d", newDoc(t, "base\n"), HostOptions{})
+	srv := NewServer(HostOptions{})
+	srv.AddHost(h)
+	var mu sync.Mutex
+	var dials atomic.Int32
+	c := healClient(t, &mu, &srv, "sendfail.d", "w", func(o *ClientOptions) {
+		dial := o.Dial
+		o.Dial = func() (net.Conn, error) {
+			conn, err := dial()
+			if err == nil && dials.Add(1) == 1 {
+				return &failWriteConn{Conn: conn}, nil
+			}
+			return conn, err
+		}
+	})
+	// Cut the first connection, then edit: the group goes in flight on it
+	// and its send fails there.
+	_ = c.conn.Close()
+	mustInsert(t, c.Doc(), 0, "edit ")
+	if c.PendingCount() != 1 {
+		t.Fatalf("pending %d, want the edit in flight", c.PendingCount())
+	}
+	// The first resume re-sends the group over the write-refusing dial;
+	// the second dial is healthy.
+	waitReconnect(t, c, 2)
+	convergeAll(t, h, c)
+	if c.State() != StateConnected || c.Err() != nil || c.PendingCount() != 0 {
+		t.Fatalf("state %s, err %v, pending %d", c.State(), c.Err(), c.PendingCount())
+	}
+	if got := h.DocString(); got != "edit base\n" {
+		t.Fatalf("host doc %q", got)
 	}
 }
 
@@ -217,7 +302,6 @@ func TestOfflineJournalCrashRecovery(t *testing.T) {
 	var mu sync.Mutex
 	c := healClient(t, &mu, &srv, "crash.d", "crasher", func(o *ClientOptions) {
 		o.Dial = func() (net.Conn, error) { return nil, errors.New("still down") }
-		o.MaxAttempts = 2
 		o.OfflineFS = fs
 		o.OfflinePath = jpath
 	})
@@ -228,7 +312,7 @@ func TestOfflineJournalCrashRecovery(t *testing.T) {
 	_ = c.Pump() // notice the loss, open the journal
 	mustInsert(t, c.Doc(), 0, "typed offline\n")
 	mustInsert(t, c.Doc(), 0, "more offline\n")
-	waitState(t, c, StateFailed)
+	waitState(t, c, StateOffline)
 	if !persist.Exists(fs, jpath) {
 		t.Fatal("offline journal missing while edits are pending")
 	}
@@ -236,7 +320,8 @@ func TestOfflineJournalCrashRecovery(t *testing.T) {
 		t.Fatalf("FlushOffline = (%q, %d, %v), want (%q, 2, nil)", p, n, err, jpath)
 	}
 	// The editor "crashes" here: no Close, no Save — c is simply abandoned
-	// (its supervisor already gave up) and only the journal survives.
+	// (its supervisor still redialing a host it cannot reach) and only the
+	// journal survives.
 
 	c2 := healClient(t, &mu, &srv, "crash.d", "crasher", func(o *ClientOptions) {
 		o.OfflineFS = fs
@@ -271,14 +356,13 @@ func TestOfflineJournalStaleSetAside(t *testing.T) {
 	var mu sync.Mutex
 	c := healClient(t, &mu, &srv, "stale.d", "crasher", func(o *ClientOptions) {
 		o.Dial = func() (net.Conn, error) { return nil, errors.New("still down") }
-		o.MaxAttempts = 1
 		o.OfflineFS = fs
 		o.OfflinePath = jpath
 	})
 	_ = c.conn.Close()
 	_ = c.Pump()
 	mustInsert(t, c.Doc(), 0, "GHOST ")
-	waitState(t, c, StateFailed)
+	waitState(t, c, StateOffline)
 
 	// The world moves on while the crashed editor is gone.
 	other := pipeClient(t, srv, "stale.d", "other", testReg(t))
@@ -390,6 +474,76 @@ func TestDrainRestartAdoptsState(t *testing.T) {
 	ctx2, cancel2 := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel2()
 	if err := srv2.Shutdown(ctx2); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDrainLeavesLateGroupsInFlight: a group that reaches a draining
+// host after the bye is neither committed nor acked. Its commit would
+// queue behind the bye, where a healing client stops reading, and put
+// the restarted host (whose history is empty) a seq past the client's
+// resume point: a snapshot resync that drops the group as unconfirmed.
+// Left in flight, it is re-sent on resume.
+func TestDrainLeavesLateGroupsInFlight(t *testing.T) {
+	h := NewHost("doc", text.NewString("base\n"), HostOptions{})
+	srv := NewServer(HostOptions{})
+	srv.AddHost(h)
+	// A session that never reads: its catch-up write blocks, so its bye
+	// stays queued and the drain keeps waiting for the flush.
+	stuck, stuckEnd := net.Pipe()
+	defer stuck.Close()
+	go srv.HandleConn(stuckEnd)
+	if err := writeFrame(bufio.NewWriter(stuck), encodeHello("doc", "stuck")); err != nil {
+		t.Fatal(err)
+	}
+	cEnd, sEnd := net.Pipe()
+	defer cEnd.Close()
+	go srv.HandleConn(sEnd)
+	fr, bw := scriptServer(cEnd) // the same frame codec serves the client side
+	// readUntil returns the frames up to and including the first with verb.
+	readUntil := func(verb string) []string {
+		t.Helper()
+		var seen []string
+		for {
+			f, err := fr.next()
+			if err != nil {
+				t.Fatalf("reading for %q after %q: %v", verb, seen, err)
+			}
+			if seen = append(seen, f); verbOf(f) == verb {
+				return seen
+			}
+		}
+	}
+	if err := writeFrame(bw, encodeHello("doc", "late")); err != nil {
+		t.Fatal(err)
+	}
+	readUntil("live")
+	for h.Stats().Sessions < 2 {
+		time.Sleep(time.Millisecond)
+	}
+	seq0 := h.Stats().Seq
+
+	drained := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		drained <- h.Drain(ctx)
+	}()
+	readUntil("bye")
+	if err := writeFrame(bw, encodeOpGroup(1, seq0, []string{"i 0 late "})); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeFrame(bw, "ping after"); err != nil { // answered after the group is handled
+		t.Fatal(err)
+	}
+	if got := readUntil("pong"); len(got) != 1 {
+		t.Fatalf("the host answered the late group: %q", got)
+	}
+	if seq := h.Stats().Seq; seq != seq0 {
+		t.Fatalf("late group committed: seq %d, drained at %d", seq, seq0)
+	}
+	go func() { _, _ = io.Copy(io.Discard, stuck) }()
+	if err := <-drained; err != nil {
 		t.Fatal(err)
 	}
 }

@@ -188,8 +188,8 @@ type Host struct {
 	clients  map[string]*clientState
 	nextSID  uint64
 	closed   bool
-	// draining rejects new attaches while in-flight commits still land
-	// (the bye -> queue-flush window of a graceful drain).
+	// draining rejects new attaches and leaves newly arriving groups
+	// uncommitted (the bye -> queue-flush window of a graceful drain).
 	draining bool
 	// fsys is where the host-state sidecar goes on drain; set by
 	// OpenHostFile, nil for memory-only hosts.
@@ -357,6 +357,14 @@ func (h *Host) commitGroup(s *session, g opGroupMsg) {
 		// The document is already saved (Close/Drain); applying now would
 		// commit an op durability never sees.
 		h.failLocked(s, "document "+h.name+" is shutting down")
+		return
+	}
+	if h.draining {
+		// The bye is queued, and a client stops reading there: a commit
+		// now would put the host a seq past the client's resume point,
+		// outside a restarted host's empty history, and the snapshot
+		// resync would drop this group as unconfirmed. Leave it in
+		// flight; the client re-sends it on resume.
 		return
 	}
 	cs := h.clients[s.clientID]

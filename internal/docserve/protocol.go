@@ -191,7 +191,7 @@ func encodeHello(doc, clientID string) string {
 	return fmt.Sprintf("hello %s %s %s", Proto, doc, clientID)
 }
 
-func encodeHelloResume(doc, clientID string, epoch, since uint64) string {
+func encodeResumeHello(doc, clientID string, epoch, since uint64) string {
 	return fmt.Sprintf("hello %s %s %s %d %d", Proto, doc, clientID, epoch, since)
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -45,16 +46,6 @@ func pipeClient(t *testing.T, srv *Server, doc, id string, reg *class.Registry) 
 	}
 	t.Cleanup(func() { _ = c.Close() })
 	return c
-}
-
-// resumeVia reattaches c to srv over a fresh pipe.
-func resumeVia(t *testing.T, srv *Server, c *Client) {
-	t.Helper()
-	cEnd, sEnd := net.Pipe()
-	go srv.HandleConn(sEnd)
-	if err := c.Resume(cEnd); err != nil {
-		t.Fatalf("resume: %v", err)
-	}
 }
 
 func mustInsert(t *testing.T, d *text.Data, pos int, s string) {
@@ -208,7 +199,8 @@ func TestServeOpReplayResync(t *testing.T) {
 	srv := NewServer(HostOptions{})
 	srv.AddHost(h)
 	a := pipeClient(t, srv, "d", "alice", reg)
-	b := pipeClient(t, srv, "d", "bob", reg)
+	var mu sync.Mutex
+	b := healClient(t, &mu, &srv, "d", "bob", nil)
 
 	mustInsert(t, a.Doc(), 0, "one ")
 	if err := a.Sync(5 * time.Second); err != nil {
@@ -235,7 +227,7 @@ func TestServeOpReplayResync(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	resumeVia(t, srv, b)
+	waitReconnect(t, b, 1)
 	if !b.Live() {
 		t.Fatal("bob not live after resume")
 	}
@@ -262,7 +254,8 @@ func TestServeSnapshotFallbackResync(t *testing.T) {
 	srv := NewServer(HostOptions{})
 	srv.AddHost(h)
 	a := pipeClient(t, srv, "d", "alice", reg)
-	b := pipeClient(t, srv, "d", "bob", reg)
+	var mu sync.Mutex
+	b := healClient(t, &mu, &srv, "d", "bob", nil)
 
 	_ = b.conn.Close()
 	mustInsert(t, b.Doc(), 0, "doomed ")
@@ -273,7 +266,7 @@ func TestServeSnapshotFallbackResync(t *testing.T) {
 		}
 	}
 
-	resumeVia(t, srv, b)
+	waitReconnect(t, b, 1)
 	if b.DroppedPending == 0 {
 		t.Fatal("snapshot resync should have dropped the unconfirmed edit")
 	}
@@ -446,7 +439,8 @@ func TestReconnectAfterPruneGetsSnapshot(t *testing.T) {
 	srv := NewServer(HostOptions{})
 	srv.AddHost(h)
 	a := pipeClient(t, srv, "d", "alice", reg)
-	b := pipeClient(t, srv, "d", "bob", reg)
+	var mu sync.Mutex
+	b := healClient(t, &mu, &srv, "d", "bob", nil)
 
 	mustInsert(t, b.Doc(), 0, "one ") // bob is seeded well past clientSeq 0
 	if err := b.Sync(5 * time.Second); err != nil {
@@ -457,7 +451,7 @@ func TestReconnectAfterPruneGetsSnapshot(t *testing.T) {
 	mustInsert(t, b.Doc(), 0, "limbo ")
 	time.Sleep(50 * time.Millisecond) // outlive the retention window
 
-	resumeVia(t, srv, b)
+	waitReconnect(t, b, 1)
 	if b.DroppedPending == 0 {
 		t.Fatal("post-prune resume must drop unconfirmed work via snapshot resync")
 	}

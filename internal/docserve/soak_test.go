@@ -97,14 +97,25 @@ func soakClient(srv *Server, seed int64, i int, slot **Client) error {
 		return err
 	}
 	rng := rand.New(rand.NewSource(seed))
+	opts := ClientOptions{ClientID: fmt.Sprintf("soaker-%d", i), Registry: reg}
+	if i < 2 {
+		// The dropping clients heal through the supervisor like ez does.
+		opts.Dial = func() (net.Conn, error) {
+			nc, ns := net.Pipe()
+			go srv.HandleConn(ns)
+			return nc, nil
+		}
+		opts.BackoffBase, opts.BackoffCap, opts.BackoffSeed = time.Millisecond, 5*time.Millisecond, seed
+	}
 	cEnd, sEnd := net.Pipe()
 	go srv.HandleConn(sEnd)
-	c, err := Connect(cEnd, "soak", ClientOptions{ClientID: fmt.Sprintf("soaker-%d", i), Registry: reg})
+	c, err := Connect(cEnd, "soak", opts)
 	if err != nil {
 		return fmt.Errorf("connect: %w", err)
 	}
 	*slot = c
 
+	var drops uint64 // planned connection drops so far
 	for op := 0; op < soakOpsEach; op++ {
 		if err := randomEdit(c, rng); err != nil {
 			return fmt.Errorf("op %d: %w", op, err)
@@ -118,23 +129,27 @@ func soakClient(srv *Server, seed int64, i int, slot **Client) error {
 		}
 
 		// The first two clients drop their connection mid-stream, twice,
-		// keep editing offline, and resume.
+		// keep editing offline, and heal.
 		if i < 2 && (op == soakOpsEach/3 || op == 2*soakOpsEach/3) {
 			_ = c.conn.Close()
+			drops++
 			for k := 0; k < 3; k++ {
 				if err := randomEdit(c, rng); err != nil {
 					return fmt.Errorf("offline op %d: %w", k, err)
 				}
 			}
-			nc, ns := net.Pipe()
-			go srv.HandleConn(ns)
-			if err := c.Resume(nc); err != nil {
+			if err := awaitReconnect(c, drops); err != nil {
 				return fmt.Errorf("resume at op %d: %w", op, err)
 			}
 		}
 	}
 	if err := c.Sync(10 * time.Second); err != nil {
 		return fmt.Errorf("final sync: %w", err)
+	}
+	// A heal beyond the planned drops means the host cut the session
+	// (say, as a slow consumer), which the soak must not hide.
+	if n := c.Reconnects(); n != drops {
+		return fmt.Errorf("%d reconnects, want the %d planned", n, drops)
 	}
 	return nil
 }

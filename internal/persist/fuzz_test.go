@@ -4,7 +4,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"unicode/utf8"
 
 	"atk/internal/text"
 )
@@ -84,9 +83,9 @@ func TestFuzzSeedsReplaySafely(t *testing.T) {
 // FuzzRecords pins the two readers of the framed-record codec to each
 // other — the strict read succeeds exactly when the tolerant read reports
 // no damage, and then both return the same records — and the writer to
-// the readers: any valid UTF-8 payloads (the records read, and the
-// input's own lines taken as payloads) encode to a file that reads back
-// strictly as exactly those payloads.
+// the readers: any payloads (the records read, and the input's own lines
+// taken as payloads) encode to a file that reads back strictly as those
+// payloads, each byte that is not UTF-8 turned into U+FFFD.
 func FuzzRecords(f *testing.F) {
 	whole := EncodeRecords(JournalMagic, []string{"base 00000000", "i 0 h\u00e9llo", "i 5 " + strings.Repeat("wrap me ", 20)})
 	f.Add(whole)
@@ -97,6 +96,7 @@ func FuzzRecords(f *testing.F) {
 	f.Add([]byte(JournalMagic + "\n1 00000000 out of sequence\n"))
 	f.Add([]byte(JournalMagic + "\n0 7C9DBE93 base 00000000\n")) // upper-case CRC
 	f.Add([]byte(JournalMagic + "\n0 deadbeef \\u41;\\q\n"))     // bad escape
+	f.Add([]byte("\xd5\n\x83"))                                  // payloads that are not UTF-8 apart
 	f.Fuzz(func(t *testing.T, b []byte) {
 		prefix, damage := readRecordPrefix(b, JournalMagic)
 		strict, err := ReadRecords(b, JournalMagic)
@@ -107,12 +107,15 @@ func FuzzRecords(f *testing.F) {
 			t.Fatalf("strict read %q, tolerant read %q", strict, prefix)
 		}
 		for _, recs := range [][]string{prefix, strings.Split(string(b), "\n")} {
-			if !utf8.ValidString(strings.Join(recs, "")) {
-				continue // the writer escapes runes, so invalid UTF-8 cannot survive it
+			// The writer escapes runes, so each byte that is not UTF-8
+			// reads back as U+FFFD; everything else reads back as written.
+			want := make([]string, len(recs))
+			for i, r := range recs {
+				want[i] = string([]rune(r))
 			}
 			back, err := ReadRecords(EncodeRecords(JournalMagic, recs), JournalMagic)
-			if err != nil || !slices.Equal(back, recs) {
-				t.Fatalf("payloads %q read back as %q (%v)", recs, back, err)
+			if err != nil || !slices.Equal(back, want) {
+				t.Fatalf("payloads %q read back as %q (%v), want %q", recs, back, err, want)
 			}
 		}
 	})

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"atk/internal/datastream"
 )
@@ -63,7 +64,16 @@ func appendFrameRecord(dst, scratch []byte, seq uint64, payload string) (out, sc
 	body := strconv.AppendUint(scratch[:0], seq, 10)
 	body = append(body, ' ')
 	seqLen := len(body)
-	body = append(body, payload...)
+	if utf8.ValidString(payload) {
+		body = append(body, payload...)
+	} else {
+		// The escaper writes each byte that is not UTF-8 as U+FFFD (one
+		// rune for one, so rune offsets in later records still hold);
+		// checksum that text, which is what the reader will decode.
+		for _, r := range payload {
+			body = utf8.AppendRune(body, r)
+		}
+	}
 	crc := crc32.ChecksumIEEE(body)
 	body = append(body, "000000000"...)
 	copy(body[seqLen+9:], body[seqLen:len(body)-9])

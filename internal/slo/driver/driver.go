@@ -519,7 +519,7 @@ func (d *Driver) writerLoop(i int) {
 		}
 		if eerr != nil {
 			// With tolerant healing the client resumes itself inside
-			// Sync/Pump; a latched error means it gave up for real.
+			// Sync/Pump; a latched error is a protocol failure.
 			d.noteErr(role, eerr)
 			if !d.opts.Tolerant || c.Err() != nil || !d.backoff() {
 				return
